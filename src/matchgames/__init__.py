@@ -7,7 +7,7 @@ an outcome is from a stable equilibrium, ``learning`` runs the optimistic
 simulation loop, and ``experiments`` batches runs into trace files.
 """
 
-from .errors import DimensionError, FormatError, InputError
+from .errors import DimensionError, FormatError, InputError, SolverError
 from .experiments import (
     ExperimentConfig,
     RegretTrace,
@@ -80,6 +80,7 @@ __all__ = [
     "PreferenceProfile",
     "RegretTrace",
     "Side",
+    "SolverError",
     "StabilityReport",
     "StepRecord",
     "SubsidyVector",

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for malformed input or documents, 3 for I/O
-failures. Subcommand output goes to stdout as JSON records; diagnostics go
-to stderr.
+Exit codes: 0 on success, 2 for malformed input or documents (including
+payoffs the game solver cannot handle), 3 for I/O failures. Subcommand
+output goes to stdout as JSON records; diagnostics go to stderr.
 """
 
 from __future__ import annotations

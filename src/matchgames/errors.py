@@ -11,3 +11,7 @@ class DimensionError(InputError):
 
 class FormatError(InputError):
     """Raised when an on-disk document cannot be parsed or fails schema checks."""
+
+
+class SolverError(InputError):
+    """Raised when the game solver fails on finite payoffs, whose magnitude it cannot handle."""

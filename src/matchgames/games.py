@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, SolverError
 from .linprog import LinearProgram, LpStatus, solve_lp
 
 ORACLE_MAX_SIDE = 5
@@ -78,9 +78,15 @@ def maximin(game) -> tuple[float, np.ndarray]:
     rhs[k] = 1.0
     nonneg = np.ones(m + 1, dtype=bool)
     nonneg[m] = False
-    sol = solve_lp(LinearProgram(c, rows, rhs, (">=",) * k + ("=",), nonneg))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"game LP reported {sol.status.value}; finite payoffs cannot reach this")
+    try:
+        sol = solve_lp(LinearProgram(c, rows, rhs, (">=",) * k + ("=",), nonneg))
+        if sol.status is not LpStatus.OPTIMAL:
+            raise RuntimeError(f"game LP reported {sol.status.value}")
+    except RuntimeError as exc:
+        # every finite game has a value: the LP's absolute tolerances broke down
+        raise SolverError(
+            f"game solver failed ({exc}) on payoffs of magnitude up to {np.abs(A).max():.3g}"
+        ) from exc
     return -sol.objective_value + 0.0, _normalized(sol.x[:m])
 
 

@@ -145,30 +145,6 @@ def _solve_cover(
     return best
 
 
-def _report(
-    floors: dict,
-    floor_tags: dict,
-    active: list,
-    tol: float,
-) -> InstabilityReport:
-    final = _solve_cover(floors, active, tol)
-    binding = {}
-    for agent, amount in final.items():
-        if amount <= 0.0:
-            binding[agent] = TAG_NONE
-        elif amount > floors[agent]:
-            binding[agent] = TAG_COVER
-        else:
-            binding[agent] = floor_tags[agent]
-    subsidies = SubsidyVector.of(final)
-    return InstabilityReport(
-        value=subsidies.total,
-        subsidies=subsidies,
-        active_pairs=tuple((pair[0].index, pair[1].index) for pair in active),
-        binding=binding,
-    )
-
-
 def _floor(c2: float, c3: float | None, tol: float) -> tuple[float, str]:
     """Per-agent lower bound from participation and value-rationality terms.
 
@@ -181,6 +157,58 @@ def _floor(c2: float, c3: float | None, tol: float) -> tuple[float, str]:
     if c3 is not None and c3 > tol:
         candidates.append((c3, TAG_VALUE_GAP))
     return max(candidates, key=lambda pair: pair[0])
+
+
+def _audit(
+    left_gain: np.ndarray,
+    right_gain: np.ndarray,
+    matching: Matching,
+    current: dict,
+    outside,
+    tol: float,
+) -> InstabilityReport:
+    """Per-agent floors, then the cheapest cover of the active cross pairs.
+
+    left_gain[i, j] is what left agent i gets with right agent j and
+    right_gain[j, i] the mirror; current[agent] and outside(agent) give an
+    agent's current utility and outside option. A matched agent's value-gap
+    term compares its own pair's gain with its current utility, so it is
+    zero when that utility is read from the gain tables themselves.
+    """
+    p, a = left_gain.shape
+    floors: dict = {}
+    tags: dict = {}
+    for agent in [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]:
+        partner = matching.partner_of(agent)
+        gain = left_gain if agent.side is Side.LEFT else right_gain
+        c3 = None if partner is None else float(gain[agent.index, partner]) - current[agent]
+        floors[agent], tags[agent] = _floor(outside(agent) - current[agent], c3, tol)
+    active = []
+    for i in range(p):
+        for j in range(a):
+            if matching.right_partner_of(i) == j:
+                continue  # covered by the pair's own value-gap terms
+            left, right = AgentId.left(i), AgentId.right(j)
+            gap_left = float(left_gain[i, j]) - current[left]
+            gap_right = float(right_gain[j, i]) - current[right]
+            if gap_left > floors[left] + tol and gap_right > floors[right] + tol:
+                active.append((left, right, gap_left, gap_right))
+    final = _solve_cover(floors, active, tol)
+    binding = {}
+    for agent, amount in final.items():
+        if amount <= 0.0:
+            binding[agent] = TAG_NONE
+        elif amount > floors[agent]:
+            binding[agent] = TAG_COVER
+        else:
+            binding[agent] = tags[agent]
+    subsidies = SubsidyVector.of(final)
+    return InstabilityReport(
+        value=subsidies.total,
+        subsidies=subsidies,
+        active_pairs=tuple((left.index, right.index) for left, right, _, _ in active),
+        binding=binding,
+    )
 
 
 def matching_instability(
@@ -212,33 +240,7 @@ def matching_instability(
                 f"game_values shape {values.shape} does not match ({instance.p}, {instance.a})"
             )
     realized = realized_utilities(instance, matching, strategies)
-
-    floors: dict = {}
-    tags: dict = {}
-    for agent in instance.agents():
-        utility = realized[agent]
-        partner = matching.partner_of(agent)
-        if partner is None:
-            own_value = None
-        elif agent.side is Side.LEFT:
-            own_value = float(values[agent.index, partner])
-        else:
-            own_value = -float(values[partner, agent.index])
-        c2 = instance.outside_option(agent) - utility
-        c3 = None if own_value is None else own_value - utility
-        floors[agent], tags[agent] = _floor(c2, c3, tol)
-
-    active = []
-    for i in range(instance.p):
-        for j in range(instance.a):
-            if matching.right_partner_of(i) == j:
-                continue  # covered by the pair's own value-rationality terms
-            left, right = AgentId.left(i), AgentId.right(j)
-            gap_left = float(values[i, j]) - realized[left]
-            gap_right = -float(values[i, j]) - realized[right]
-            if gap_left > floors[left] + tol and gap_right > floors[right] + tol:
-                active.append((left, right, gap_left, gap_right))
-    return _report(floors, tags, active, tol)
+    return _audit(values, -values.T, matching, realized, instance.outside_option, tol)
 
 
 def subset_instability(
@@ -251,23 +253,9 @@ def subset_instability(
     """
     p, a = utilities.left.shape
     matching.validate_for(p, a)
-    floors: dict = {}
-    tags: dict = {}
-    current: dict = {}
-    for agent in [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]:
-        current[agent] = utilities.current(agent, matching)
-        floors[agent], tags[agent] = _floor(utilities.outside(agent) - current[agent], None, tol)
-    active = []
-    for i in range(p):
-        for j in range(a):
-            if matching.right_partner_of(i) == j:
-                continue  # zero gain over itself, never binds
-            left, right = AgentId.left(i), AgentId.right(j)
-            gap_left = float(utilities.left[i, j]) - current[left]
-            gap_right = float(utilities.right[j, i]) - current[right]
-            if gap_left > floors[left] + tol and gap_right > floors[right] + tol:
-                active.append((left, right, gap_left, gap_right))
-    return _report(floors, tags, active, tol)
+    agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
+    current = {agent: utilities.current(agent, matching) for agent in agents}
+    return _audit(utilities.left, utilities.right, matching, current, utilities.outside, tol)
 
 
 def single_pair_deviation(instance: MarketInstance, strategies: dict) -> float:

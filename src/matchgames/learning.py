@@ -4,8 +4,11 @@ Each round, every cross pair is scored by the minimax value of its
 upper-confidence payoff matrix; preference lists built from those values
 feed deferred acceptance, matched pairs play their optimistic maximin
 strategies, and one noisy zero-sum reward per pair updates a shared
-left-view estimate table. Baselines replace the right side's behavior with
-exact Nash play or with pure best responses to the left side's strategies.
+left-view estimate table. The three policies differ only in the right
+side's table of preference values and per-pair strategies: SELF_PLAY fills
+it from the right side's own optimistic maximin, NASH_RESPONSE from the
+exact game solutions (fixed for the episode), and BEST_RESPONSE from pure
+best responses to the left side's current optimistic strategies.
 """
 
 from __future__ import annotations
@@ -116,6 +119,13 @@ def nash_response_strategies(instance: MarketInstance) -> RightSidePlan:
     return RightSidePlan(values=values, strategies=strategies)
 
 
+def _exploit(game: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Right side's pure best response to x in its own game, and its payoff."""
+    own_game = -game.T
+    response = best_response(own_game, x)
+    return float(response @ own_game @ x), response
+
+
 def best_response_strategies(instance: MarketInstance, left_strategies) -> RightSidePlan:
     """Right side best-responds in its own game to known left strategies.
 
@@ -128,10 +138,7 @@ def best_response_strategies(instance: MarketInstance, left_strategies) -> Right
     for i in range(instance.p):
         for j in range(instance.a):
             x = check_strategy(left_strategies[i][j], instance.m)
-            own_game = -instance.games[i, j].T
-            response = best_response(own_game, x)
-            values[j, i] = float(response @ own_game @ x)
-            strategies[j][i] = response
+            values[j, i], strategies[j][i] = _exploit(instance.games[i, j], x)
     return RightSidePlan(values=values, strategies=strategies)
 
 
@@ -209,95 +216,70 @@ def run_episode(
     streams = _Streams(seed)
     log_term = 2.0 * math.log(1.0 / state.delta)
 
-    nash_plan = None
+    # Left side: optimistic maximin value and strategy per pair, re-solved
+    # only for pairs whose statistics changed. Right side: one table for every
+    # policy, laid out as in RightSidePlan; only its refresh reads the policy.
+    left_value = np.zeros((p, a))
+    left_play = [[None] * a for _ in range(p)]
     if policy is Policy.NASH_RESPONSE:
-        nash_plan = nash_response_strategies(instance)
-        true_values = -nash_plan.values.T
+        plan = nash_response_strategies(instance)
+        right_value, right_play = plan.values, plan.strategies
+        true_values = -right_value.T
     else:
+        right_value = np.zeros((a, p))
+        right_play = [[None] * p for _ in range(a)]
         true_values = np.array(
             [[maximin(instance.games[i, j])[0] for j in range(a)] for i in range(p)]
         )
-
-    # Per-pair caches, refreshed only when the pair's statistics changed.
-    ucb_left = [[None] * a for _ in range(p)]
-    ucb_right = [[None] * a for _ in range(p)]
-    left_value = np.zeros((p, a))
-    left_strategy = [[None] * a for _ in range(p)]
-    right_value = np.zeros((a, p))
-    right_strategy = [[None] * a for _ in range(p)]
-    best_value = np.zeros((a, p)) if policy is Policy.BEST_RESPONSE else None
-    best_strategy = [[None] * a for _ in range(p)]
     dirty = {(i, j) for i in range(p) for j in range(a)}
 
     records: list[StepRecord] = []
     for t in range(1, T + 1):
         for i, j in sorted(dirty):
-            width = state.width(i, j)
-            ucb_left[i][j] = state.means[i, j] + width
-            ucb_right[i][j] = -state.means[i, j].T + width.T
-            left_value[i, j], left_strategy[i][j] = maximin(ucb_left[i][j])
-            right_value[j, i], right_strategy[i][j] = maximin(ucb_right[i][j])
-            if policy is Policy.BEST_RESPONSE:
-                own_game = -instance.games[i, j].T
-                response = best_response(own_game, left_strategy[i][j])
-                best_value[j, i] = float(response @ own_game @ left_strategy[i][j])
-                best_strategy[i][j] = response
+            left_value[i, j], left_play[i][j] = maximin(ucb_matrix(state, (i, j)))
+            if policy is Policy.SELF_PLAY:
+                right_value[j, i], right_play[j][i] = maximin(
+                    ucb_matrix(state, (i, j), Side.RIGHT)
+                )
+            elif policy is Policy.BEST_RESPONSE:
+                right_value[j, i], right_play[j][i] = _exploit(
+                    instance.games[i, j], left_play[i][j]
+                )
         dirty.clear()
 
-        if policy is Policy.SELF_PLAY:
-            right_prefs = right_value
-        elif policy is Policy.NASH_RESPONSE:
-            right_prefs = nash_plan.values
-        else:
-            right_prefs = best_value
         prefs = preferences_from_values(
-            left_value, right_prefs, instance.left_outside, instance.right_outside
+            left_value, right_value, instance.left_outside, instance.right_outside
         )
         matching = deferred_acceptance(prefs, proposing_side)
 
         strategies: dict = {}
         for i, j in matching.pairs:
-            strategies[AgentId.left(i)] = left_strategy[i][j]
-            if policy is Policy.SELF_PLAY:
-                strategies[AgentId.right(j)] = right_strategy[i][j]
-            elif policy is Policy.NASH_RESPONSE:
-                strategies[AgentId.right(j)] = nash_plan.strategies[j][i]
-            else:
-                strategies[AgentId.right(j)] = best_strategy[i][j]
+            strategies[AgentId.left(i)] = left_play[i][j]
+            strategies[AgentId.right(j)] = right_play[j][i]
 
         widths_all = np.sqrt(log_term / np.maximum(state.counts, 1))
         event_ok = bool((np.abs(state.means - instance.games) <= widths_all).all())
 
         width_bound = 0.0
         for i, j in matching.pairs:
-            x = strategies[AgentId.left(i)]
-            y = strategies[AgentId.right(j)]
-            width_bound += 4.0 * float(x @ widths_all[i, j] @ y)
+            width_bound += 4.0 * float(left_play[i][j] @ widths_all[i, j] @ right_play[j][i])
 
         value_slack = pair_slack = None
         if policy is Policy.SELF_PLAY:
-            value_slack = -math.inf
             current_left = instance.left_outside.copy()
             current_right = instance.right_outside.copy()
+            slacks = []
             for i, j in matching.pairs:
-                x = strategies[AgentId.left(i)]
-                y = strategies[AgentId.right(j)]
-                payoff_left = float(x @ ucb_left[i][j] @ y)
-                payoff_right = float(y @ ucb_right[i][j] @ x)
-                current_left[i] = payoff_left
-                current_right[j] = payoff_right
-                value_slack = max(
-                    value_slack,
-                    left_value[i, j] - payoff_left,
-                    right_value[j, i] - payoff_right,
-                )
+                x, y = left_play[i][j], right_play[j][i]
+                current_left[i] = float(x @ ucb_matrix(state, (i, j)) @ y)
+                current_right[j] = float(y @ ucb_matrix(state, (i, j), Side.RIGHT) @ x)
+                slacks += [left_value[i, j] - current_left[i], right_value[j, i] - current_right[j]]
+            value_slack = max(slacks, default=None)
             pair_slack = max(
                 min(left_value[i, j] - current_left[i], right_value[j, i] - current_right[j])
                 for i in range(p)
                 for j in range(a)
             )
-            if not matching.pairs:
-                value_slack = None
 
         mi_report = matching_instability(
             instance, matching, strategies, game_values=true_values
@@ -306,8 +288,7 @@ def run_episode(
         actions: dict = {}
         rewards: dict = {}
         for i, j in matching.pairs:
-            x = strategies[AgentId.left(i)]
-            y = strategies[AgentId.right(j)]
+            x, y = left_play[i][j], right_play[j][i]
             row_action = int(streams.get(_LEFT_ACTION, i, j).choice(m, p=x))
             col_action = int(streams.get(_RIGHT_ACTION, i, j).choice(k, p=y))
             noise = float(streams.get(_REWARD, i, j).standard_normal())

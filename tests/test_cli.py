@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import build_example_market, build_example_profile
 
@@ -59,6 +60,15 @@ def test_solve_game_requires_exactly_one_source(capsys, tmp_path):
 def test_solve_game_rejects_ragged_matrix(capsys):
     assert main(["solve-game", "--matrix", "[[1,2],[3]]"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_game_solver_failure_is_input_error(capsys):
+    # the LP's absolute tolerances break down on this game at this scale
+    matrix = np.random.default_rng(0).uniform(-1, 1, size=(3, 4)) * 1e9
+    assert main(["solve-game", "--matrix", json.dumps(matrix.tolist())]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: game solver failed") and err.count("\n") == 1
+    assert "magnitude" in err
 
 
 def test_gen_instance_round_trips(tmp_path, capsys):

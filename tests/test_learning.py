@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from conftest import build_example_market
 
+from matchgames import learning
 from matchgames.errors import InputError
-from matchgames.games import solve_game
+from matchgames.games import maximin, solve_game
 from matchgames.learning import (
     ConfidenceState,
     Policy,
@@ -171,6 +172,22 @@ def test_baseline_records_omit_self_play_diagnostics():
         assert len(records) == 10
         assert all(record.ucb_value_slack is None for record in records)
         assert all(record.ucb_pair_slack is None for record in records)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_game_solves_per_episode(monkeypatch, policy):
+    instance = generate_instance(2, 3, 2, 2, generator=Generator.UNIFORM_SIGNED, seed=14)
+    calls = []
+    monkeypatch.setattr(learning, "maximin", lambda game: calls.append(game) or maximin(game))
+    records = run_episode(instance, policy, 30, seed=14)
+    # round 1 refreshes every pair, each later round the pairs matched before it
+    refreshed = 2 * 3 + sum(len(record.matching) for record in records[:-1])
+    # only self-play solves the right side's optimistic games; the baselines read
+    # the right side's table from exact solutions or from best responses
+    expected = refreshed * (2 if policy is Policy.SELF_PLAY else 1)
+    if policy is not Policy.NASH_RESPONSE:
+        expected += 2 * 3  # up-front true values for the audit
+    assert len(calls) == expected
 
 
 def test_run_episode_validation():
