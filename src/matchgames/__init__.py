@@ -1,7 +1,7 @@
 """Matching markets whose pairs play zero-sum games, learned from bandit feedback.
 
-The pieces compose bottom-up: ``linprog`` solves small dense LPs, ``games``
-turns those into matrix-game values and maximin strategies, ``market`` holds
+The pieces compose bottom-up: ``linprog`` solves the packing LP of a matrix
+game, ``games`` turns it into game values and maximin strategies, ``market`` holds
 instances, matchings and deferred acceptance, ``instability`` scores how far
 an outcome is from a stable equilibrium, ``learning`` runs the optimistic
 simulation loop, and ``experiments`` batches runs into trace files.
@@ -43,7 +43,7 @@ from .learning import (
     run_episode,
     ucb_matrix,
 )
-from .linprog import LinearProgram, LpSolution, LpStatus, solve_lp
+from .linprog import solve_lp
 from .market import (
     AgentId,
     Generator,
@@ -71,9 +71,6 @@ __all__ = [
     "Generator",
     "InputError",
     "InstabilityReport",
-    "LinearProgram",
-    "LpSolution",
-    "LpStatus",
     "MarketInstance",
     "Matching",
     "Policy",

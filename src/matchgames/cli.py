@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for malformed input or documents (including
-payoffs the game solver cannot handle), 3 for I/O failures. Subcommand
+Exit codes: 0 on success, 2 for malformed input or documents (including a
+``SolverError`` from the game kernel's guard), 3 for I/O failures. Subcommand
 output goes to stdout as JSON records; diagnostics go to stderr.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -33,22 +34,10 @@ from .games import solve_game
 from .learning import Policy
 from .market import Generator, Side, deferred_acceptance, generate_instance
 
-_CONFIG_KEYS = {
-    "p": int,
-    "a": int,
-    "m": int,
-    "k": int,
-    "T": int,
-    "runs": int,
-    "seeds_base": int,
-    "policy": str,
-    "generator": str,
-    "outside_option": float,
-    "delta": object,
-    "noise_scale": float,
-    "output_dir": str,
-    "workers": int,
-}
+_CONFIG_KEYS = (
+    "p", "a", "m", "k", "T", "runs", "seeds_base", "policy", "generator",
+    "outside_option", "delta", "noise_scale", "output_dir", "workers",
+)
 
 
 def _print(record: dict) -> None:
@@ -66,7 +55,7 @@ def _parse_delta(raw) -> float | None:
 
 def _load_config_file(path) -> dict:
     try:
-        document = json.loads(open(path).read())
+        document = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(document, dict):
@@ -139,7 +128,7 @@ def _cmd_solve_game(args) -> int:
             raise InputError(f"--matrix is not valid JSON: {exc.msg}") from exc
     else:
         try:
-            payload = json.loads(open(args.file).read())
+            payload = json.loads(Path(args.file).read_text())
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.file}: line {exc.lineno}: {exc.msg}") from exc
     try:

@@ -14,4 +14,4 @@ class FormatError(InputError):
 
 
 class SolverError(InputError):
-    """Raised when the game solver fails on finite payoffs, whose magnitude it cannot handle."""
+    """Raised when the game kernel's guard trips on finite payoffs (a valid game never does)."""

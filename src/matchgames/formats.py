@@ -183,14 +183,13 @@ def read_preferences(path) -> PreferenceProfile:
     document = _load(path, PREFERENCES_FORMAT)
     left = _field(document, path, "left")
     right = _field(document, path, "right")
-    left_threshold = document.get("left_threshold") or [0.0] * len(left)
-    right_threshold = document.get("right_threshold") or [0.0] * len(right)
     try:
+        # PreferenceProfile fills missing thresholds with zeros
         return PreferenceProfile(
             left=tuple(tuple(int(j) for j in lst) for lst in left),
             right=tuple(tuple(int(i) for i in lst) for lst in right),
-            left_threshold=tuple(float(v) for v in left_threshold),
-            right_threshold=tuple(float(v) for v in right_threshold),
+            left_threshold=tuple(float(v) for v in document.get("left_threshold") or ()),
+            right_threshold=tuple(float(v) for v in document.get("right_threshold") or ()),
         )
     except (InputError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad preference lists: {exc}") from exc

@@ -1,8 +1,10 @@
 """Exact solvers for two-player zero-sum matrix games.
 
 Payoff matrices are plain float arrays holding the row player's payoff; the
-column player receives the negation. The LP route (solve_game) is the
-production path; oracle_solve_game is an independent enumeration-based
+column player receives the negation. The LP route (maximin, solve_game) is
+the production path: it rescales the payoffs into [1, 3] and solves the
+game's packing LP with ``linprog.solve_lp``, so results do not depend on the
+payoffs' units. oracle_solve_game is an independent enumeration-based
 checker kept for cross-validation and must stay free of the LP machinery.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, SolverError
-from .linprog import LinearProgram, LpStatus, solve_lp
+from .linprog import solve_lp
 
 ORACLE_MAX_SIDE = 5
 _ORACLE_TOL = 1e-9
@@ -60,34 +62,24 @@ class GameSolution:
 def maximin(game) -> tuple[float, np.ndarray]:
     """Value and one optimal mixed strategy for the row player.
 
-    Solves: maximize v subject to A^T x >= v*1, sum(x) = 1, x >= 0, with the
-    guarantee level v unbounded below.
+    Rescales A by max|A| and shifts it by 2, so B = A/scale + 2 has entries
+    in [1, 3] and value v_B in [1, 3]. The dual of the packing LP
+    max 1^T w s.t. B w <= 1, w >= 0 is u = x / v_B, so x = u / sum(u) and
+    v_B = 1 / sum(u), whatever the payoffs' units.
     """
     A = as_payoff_matrix(game)
-    m, k = A.shape
-    if m == 1 and k == 1:
+    if A.shape == (1, 1):
         # the LP would only add rounding noise to the lone payoff entry
         return float(A[0, 0]), np.array([1.0])
-    c = np.zeros(m + 1)
-    c[m] = -1.0
-    rows = np.zeros((k + 1, m + 1))
-    rows[:k, :m] = A.T
-    rows[:k, m] = -1.0
-    rows[k, :m] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    nonneg = np.ones(m + 1, dtype=bool)
-    nonneg[m] = False
+    scale = float(np.abs(A).max()) or 1.0
     try:
-        sol = solve_lp(LinearProgram(c, rows, rhs, (">=",) * k + ("=",), nonneg))
-        if sol.status is not LpStatus.OPTIMAL:
-            raise RuntimeError(f"game LP reported {sol.status.value}")
+        _, u = solve_lp(A / scale + 2.0)
     except RuntimeError as exc:
-        # every finite game has a value: the LP's absolute tolerances broke down
+        # unreachable for entries in [1, 3]: an entering column has a positive entry
         raise SolverError(
-            f"game solver failed ({exc}) on payoffs of magnitude up to {np.abs(A).max():.3g}"
+            f"game solver failed ({exc}) on payoffs of magnitude up to {scale:.3g}"
         ) from exc
-    return -sol.objective_value + 0.0, _normalized(sol.x[:m])
+    return (1.0 / float(u.sum()) - 2.0) * scale + 0.0, _normalized(u)
 
 
 def game_value(game) -> float:

@@ -1,190 +1,50 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""One-phase dense simplex for the packing LP of a matrix game.
 
-Self-contained solver for the small linear programs that arise when solving
-matrix games: minimization objective, per-row relations, and variables that
-are either nonnegative or free. No external solver dependency.
+A game with payoffs shifted into [1, 3] reduces to one packing LP
+(Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
+feasible basis and the optimum is bounded, so the solve needs no phase 1,
+no artificial or free variables and no status: it pivots by Bland's rule
+until no reduced cost is negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
-from .errors import DimensionError, InputError
-
 PIVOT_TOL = 1e-9
-ZERO_TOL = 1e-12
-FEAS_TOL = 1e-9
-
-_RELATIONS = ("<=", "=", ">=")
-_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+def solve_lp(B) -> tuple[np.ndarray, np.ndarray]:
+    """Primal optimum w and dual optimum u of max 1^T w s.t. B w <= 1, w >= 0.
 
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """minimize objective @ x subject to per-row relations on constraint_matrix @ x.
-
-    relations[i] is one of "<=", "=", ">=". nonnegative[j] marks x_j >= 0;
-    False leaves x_j unbounded below.
+    B is an m x k matrix with entries in [1, 3]. Bland's rule picks the
+    lowest-index entering column and breaks minimum-ratio ties by the lowest
+    basis index. The slack columns' reduced costs give u, which solves
+    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w.
     """
-
-    objective: np.ndarray
-    constraint_matrix: np.ndarray
-    constraint_rhs: np.ndarray
-    relations: tuple[str, ...]
-    nonnegative: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        A = np.asarray(self.constraint_matrix, dtype=float)
-        if A.ndim == 1:
-            A = A.reshape(1, -1)
-        b = np.atleast_1d(np.asarray(self.constraint_rhs, dtype=float))
-        nn = np.atleast_1d(np.asarray(self.nonnegative, dtype=bool))
-        if c.ndim != 1 or A.ndim != 2:
-            raise DimensionError("objective must be a vector and constraint_matrix 2-d")
-        r, n = A.shape
-        if c.shape != (n,) or b.shape != (r,) or nn.shape != (n,) or len(self.relations) != r:
-            raise DimensionError(
-                f"inconsistent shapes: matrix {A.shape}, objective {c.shape}, "
-                f"rhs {b.shape}, relations {len(self.relations)}, signs {nn.shape}"
-            )
-        for rel in self.relations:
-            if rel not in _RELATIONS:
-                raise InputError(f"unknown constraint relation {rel!r}")
-        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-            raise InputError("linear program contains non-finite entries")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraint_matrix", A)
-        object.__setattr__(self, "constraint_rhs", b)
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "nonnegative", nn)
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: LpStatus
-    x: np.ndarray | None
-    objective_value: float | None
-
-
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    T[np.abs(T) < ZERO_TOL] = 0.0
-    basis[row] = col
-
-
-def _iterate(T: np.ndarray, basis: np.ndarray, allowed: int) -> str:
-    """Run simplex pivots until optimal or unbounded.
-
-    Bland's rule both ways: lowest-index entering column among negative
-    reduced costs, ties on the minimum ratio broken by lowest basis index.
-    Columns at index >= allowed (artificials) never enter.
-    """
+    m, k = B.shape
+    T = np.zeros((m + 1, k + m + 1))
+    T[:m, :k] = B
+    T[:m, k:-1] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :k] = -1.0
+    basis = np.arange(k, k + m)
     while True:
-        negative = np.nonzero(T[-1, :allowed] < -PIVOT_TOL)[0]
+        negative = np.flatnonzero(T[m, :-1] < -PIVOT_TOL)
         if negative.size == 0:
-            return "optimal"
-        enter = int(negative[0])
-        col = T[:-1, enter]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
+            break
+        enter = negative[0]
+        rows = np.flatnonzero(T[:m, enter] > PIVOT_TOL)
         if rows.size == 0:
-            return "unbounded"
-        ratios = T[rows, -1] / col[rows]
-        cand = rows[ratios <= ratios.min() + 1e-12]
-        leave = int(cand[np.argmin(basis[cand])])
-        _pivot(T, basis, leave, enter)
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve lp, reporting Optimal (with a point), Infeasible, or Unbounded."""
-    r, n = lp.constraint_matrix.shape
-    b = lp.constraint_rhs.copy()
-    rels = list(lp.relations)
-
-    # Free variables split into a difference of two nonnegative columns.
-    cols, costs, var_map = [], [], []
-    for j in range(n):
-        cols.append(lp.constraint_matrix[:, j].copy())
-        costs.append(lp.objective[j])
-        var_map.append((j, 1.0))
-        if not lp.nonnegative[j]:
-            cols.append(-lp.constraint_matrix[:, j])
-            costs.append(-lp.objective[j])
-            var_map.append((j, -1.0))
-    n_std = len(cols)
-    A_std = np.column_stack(cols) if n_std else np.zeros((r, 0))
-
-    for i in range(r):
-        if b[i] < 0.0:
-            A_std[i] *= -1.0
-            b[i] = -b[i]
-            rels[i] = _FLIP[rels[i]]
-
-    n_slack = sum(1 for rel in rels if rel != "=")
-    n_art = sum(1 for rel in rels if rel != "<=")
-    art0 = n_std + n_slack
-    T = np.zeros((r + 1, art0 + n_art + 1))
-    T[:r, :n_std] = A_std
-    T[:r, -1] = b
-    basis = np.zeros(r, dtype=int)
-    s_col, a_col = n_std, art0
-    for i, rel in enumerate(rels):
-        if rel != "=":
-            T[i, s_col] = 1.0 if rel == "<=" else -1.0
-            if rel == "<=":
-                basis[i] = s_col
-            s_col += 1
-        if rel != "<=":
-            T[i, a_col] = 1.0
-            basis[i] = a_col
-            a_col += 1
-
-    if n_art:
-        T[-1, art0:-1] = 1.0
-        for i in range(r):
-            if basis[i] >= art0:
-                T[-1] -= T[i]
-        if _iterate(T, basis, allowed=art0) != "optimal":
-            raise RuntimeError("phase 1 cannot be unbounded")
-        if -T[-1, -1] > FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, None, None)
-        # Artificials still basic sit at zero: pivot them out or drop the
-        # (redundant) row when the row has no usable entry.
-        for i in range(r):
-            if basis[i] >= art0:
-                usable = np.nonzero(np.abs(T[i, :art0]) > PIVOT_TOL)[0]
-                if usable.size:
-                    _pivot(T, basis, i, int(usable[0]))
-        keep = [i for i in range(r) if basis[i] < art0]
-        T = np.vstack([T[keep], T[-1:]])
-        basis = basis[keep]
-        r = len(keep)
-        T = np.delete(T, np.s_[art0:-1], axis=1)
-
-    T[-1, :] = 0.0
-    T[-1, :n_std] = costs
-    for i in range(r):
-        cj = T[-1, basis[i]]
-        if cj != 0.0:
-            T[-1] -= cj * T[i]
-    if _iterate(T, basis, allowed=T.shape[1] - 1) != "optimal":
-        return LpSolution(LpStatus.UNBOUNDED, None, None)
-
-    x_std = np.zeros(T.shape[1] - 1)
-    x_std[basis] = T[:r, -1]
-    x = np.zeros(n)
-    for idx, (j, sign) in enumerate(var_map):
-        x[j] += sign * x_std[idx]
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
+            raise RuntimeError(f"entering column {enter} has no positive entry")
+        ratios = T[rows, -1] / T[rows, enter]
+        tied = rows[ratios <= ratios.min() + 1e-12]
+        leave = tied[np.argmin(basis[tied])]
+        T[leave] /= T[leave, enter]
+        factors = T[:, enter].copy()
+        factors[leave] = 0.0
+        T -= np.outer(factors, T[leave])
+        basis[leave] = enter
+    x = np.zeros(k + m)
+    x[basis] = T[:m, -1]
+    return x[:k], T[m, k:-1].copy()

@@ -84,9 +84,6 @@ class MarketInstance:
         object.__setattr__(self, "left_outside", lo)
         object.__setattr__(self, "right_outside", ro)
 
-    def game(self, i: int, j: int) -> np.ndarray:
-        return self.games[i, j]
-
     def outside_option(self, agent: AgentId) -> float:
         if agent.side is Side.LEFT:
             return float(self.left_outside[agent.index])

@@ -16,6 +16,7 @@ from matchgames.formats import (
     write_preferences,
     write_strategy_profile,
 )
+from matchgames.games import oracle_solve_game
 from matchgames.market import Matching, PreferenceProfile
 
 
@@ -45,7 +46,7 @@ def test_solve_game_inline_matrix(capsys):
     assert main(["solve-game", "--matrix", "[[1,-1],[-1,1]]"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["value"] == 0.0
-    assert record["row_strategy"] == [0.5, 0.5]
+    assert record["row_strategy"] == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_solve_game_requires_exactly_one_source(capsys, tmp_path):
@@ -62,10 +63,21 @@ def test_solve_game_rejects_ragged_matrix(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_solve_game_solver_failure_is_input_error(capsys):
-    # the LP's absolute tolerances break down on this game at this scale
-    matrix = np.random.default_rng(0).uniform(-1, 1, size=(3, 4)) * 1e9
-    assert main(["solve-game", "--matrix", json.dumps(matrix.tolist())]) == 2
+def test_solve_game_rescaled_matrix_solves(capsys):
+    # the kernel normalises the payoffs' scale, so 1e9-sized payoffs solve too
+    base = np.random.default_rng(0).uniform(-1, 1, size=(3, 4))
+    matrix = base * 1e9
+    assert main(["solve-game", "--matrix", json.dumps(matrix.tolist())]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["value"] == pytest.approx(1e9 * oracle_solve_game(base).value, rel=1e-9)
+
+
+def test_solve_game_solver_failure_is_input_error(capsys, monkeypatch):
+    def failing_solve_lp(B):
+        raise RuntimeError("entering column 0 has no positive entry")
+
+    monkeypatch.setattr("matchgames.games.solve_lp", failing_solve_lp)
+    assert main(["solve-game", "--matrix", "[[1,-1],[-1,1]]"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: game solver failed") and err.count("\n") == 1
     assert "magnitude" in err
@@ -92,6 +104,14 @@ def test_match_runs_deferred_acceptance(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["pairs"] == [[0, 0], [1, 1]]
     assert json.loads(out_path.read_text())["pairs"] == [[0, 0], [1, 1]]
+
+
+def test_match_non_list_preferences_is_input_error(tmp_path, capsys):
+    prefs_path = tmp_path / "prefs.json"
+    prefs_path.write_text('{"format": "preferences", "version": 1, "left": 5, "right": []}')
+    assert main(["match", "--preferences", str(prefs_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad preference lists" in err
 
 
 def test_audit_reports_instability(audit_files, capsys):

@@ -97,6 +97,16 @@ def test_preferences_thresholds_default_to_zero(tmp_path):
     assert loaded.right_threshold == (0.0,)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_non_list_preferences_rejected(tmp_path, side):
+    path = tmp_path / "prefs.json"
+    document = {"format": "preferences", "version": 1, "left": [], "right": []}
+    document[side] = 5
+    path.write_text(json.dumps(document))
+    with pytest.raises(FormatError, match="bad preference lists"):
+        read_preferences(path)
+
+
 def test_malformed_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "format": "matching",\n  oops\n}')

@@ -146,3 +146,37 @@ def test_solve_game_deterministic():
     assert first.value == second.value
     assert (first.row_strategy == second.row_strategy).all()
     assert (first.column_strategy == second.column_strategy).all()
+
+
+SCALES = (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12)
+
+
+def _scale_test_games(rng, count):
+    # one third continuous, one third integer ties, one third repeated rows and columns
+    for index in range(count):
+        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        if index % 3 == 0:
+            yield rng.uniform(-1.0, 1.0, size=(m, k))
+        elif index % 3 == 1:
+            yield rng.integers(-2, 3, size=(m, k)).astype(float)
+        else:
+            A = rng.integers(-1, 2, size=(m, k)).astype(float)
+            yield A[rng.integers(m, size=m)][:, rng.integers(k, size=k)]
+
+
+def test_value_identities_hold_at_every_scale():
+    # v(cA + d) = c v(A) + d and v(-A^T) = -v(A), whatever the payoffs' units
+    rng = np.random.default_rng(16)
+    for A in _scale_test_games(rng, 200):
+        expected = oracle_solve_game(A).value
+        for c in SCALES:
+            d = c * float(rng.uniform(-2.0, 2.0))
+            game = c * A + d
+            tol = 1e-9 * float(np.abs(game).max())
+            sol = solve_game(game)
+            assert abs(sol.value - (c * expected + d)) <= tol, (A, c, d)
+            for strategy in (sol.row_strategy, sol.column_strategy):
+                assert (strategy >= 0.0).all() and abs(strategy.sum() - 1.0) <= TOL
+            assert (game.T @ sol.row_strategy >= sol.value - tol).all(), (A, c, d)
+            assert (game @ sol.column_strategy <= sol.value + tol).all(), (A, c, d)
+            assert abs(game_value(-game.T) + sol.value) <= tol, (A, c, d)

@@ -1,239 +1,107 @@
-"""Simplex solver tests against a brute-force vertex-enumeration oracle."""
+"""Packing-LP kernel tests against a brute-force vertex-enumeration oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from matchgames.errors import DimensionError, InputError
-from matchgames.linprog import LinearProgram, LpStatus, solve_lp
+from matchgames.linprog import solve_lp
 
-FEAS = 1e-7
-TOL = 1e-8
+TOL = 1e-9
 
 
-def vertex_oracle(lp: LinearProgram):
-    """Minimum of the objective over all basic feasible points.
+def vertex_oracle(B: np.ndarray) -> float:
+    """Maximum of 1^T w over all basic feasible points of B w <= 1, w >= 0.
 
-    Enumerates every n-subset of the constraint and sign hyperplanes, solves
-    the square system, and keeps points satisfying all constraints. Only
-    valid for pointed feasible regions (all variables nonnegative), which is
-    all the random instances below use. Completely independent of the
-    simplex code path.
+    Enumerates every k-subset of the constraint and sign hyperplanes, solves
+    the square system, and keeps points satisfying all constraints. The
+    region is a polytope, so its maximum sits at one of these vertices.
+    Completely independent of the simplex code path.
     """
-
-    A = lp.constraint_matrix
-    b = lp.constraint_rhs
-    n = A.shape[1]
-    planes = [(A[i], b[i]) for i in range(A.shape[0])]
-    for j in range(n):
-        row = np.zeros(n)
-        row[j] = 1.0
-        planes.append((row, 0.0))
+    m, k = B.shape
+    G_all = np.vstack([B, np.eye(k)])
+    h_all = np.concatenate([np.ones(m), np.zeros(k)])
     best = None
-    for subset in itertools.combinations(range(len(planes)), n):
-        G = np.array([planes[i][0] for i in subset])
-        h = np.array([planes[i][1] for i in subset])
+    for subset in itertools.combinations(range(m + k), k):
         try:
-            x = np.linalg.solve(G, h)
+            w = np.linalg.solve(G_all[list(subset)], h_all[list(subset)])
         except np.linalg.LinAlgError:
             continue
-        if not np.isfinite(x).all():
-            continue
-        ok = (x >= -FEAS).all()
-        for row, rel, rhs in zip(A, lp.relations, b):
-            lhs = row @ x
-            if rel == "<=":
-                ok = ok and lhs <= rhs + FEAS
-            elif rel == ">=":
-                ok = ok and lhs >= rhs - FEAS
-            else:
-                ok = ok and abs(lhs - rhs) <= FEAS
-            if not ok:
-                break
-        if ok:
-            value = float(lp.objective @ x)
-            if best is None or value < best:
+        if (w >= -TOL).all() and (B @ w <= 1.0 + TOL).all():
+            value = float(w.sum())
+            if best is None or value > best:
                 best = value
     return best
 
 
-def random_bounded_lp(rng: np.random.Generator) -> LinearProgram:
-    # built around a known feasible point so the instance is never infeasible,
-    # and capped by a box row so it is never unbounded
-    n = int(rng.integers(2, 6))
-    rows = int(rng.integers(1, 5))
-    x0 = rng.uniform(0.0, 2.0, size=n)
-    A = rng.normal(size=(rows, n))
-    relations = [str(rng.choice(["<=", ">=", "="])) for _ in range(rows)]
-    b = A @ x0
-    for i, rel in enumerate(relations):
-        margin = float(rng.uniform(0.0, 1.0))
-        if rel == "<=":
-            b[i] += margin
-        elif rel == ">=":
-            b[i] -= margin
-    A = np.vstack([A, np.ones(n)])
-    b = np.append(b, x0.sum() + 10.0)
-    relations.append("<=")
-    return LinearProgram(
-        objective=rng.normal(size=n),
-        constraint_matrix=A,
-        constraint_rhs=b,
-        relations=tuple(relations),
-        nonnegative=np.ones(n, dtype=bool),
-    )
+def check_optimal_pair(B: np.ndarray, w: np.ndarray, u: np.ndarray) -> None:
+    m, k = B.shape
+    assert w.shape == (k,) and u.shape == (m,)
+    # primal feasibility
+    assert (w >= -TOL).all()
+    assert (B @ w <= 1.0 + TOL).all()
+    # dual feasibility
+    assert (u >= -TOL).all()
+    assert (B.T @ u >= 1.0 - TOL).all()
+    # equal objectives certify that both are optimal
+    assert u.sum() == pytest.approx(w.sum(), abs=TOL)
 
 
 def test_two_variable_hand_case():
-    lp = LinearProgram(
-        objective=[-1.0, -1.0],
-        constraint_matrix=[[1.0, 1.0]],
-        constraint_rhs=[1.0],
-        relations=("<=",),
-        nonnegative=[True, True],
-    )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(-1.0, abs=TOL)
-    assert sol.x.sum() == pytest.approx(1.0, abs=TOL)
-
-
-def test_equality_with_redundant_row():
-    lp = LinearProgram(
-        objective=[1.0, 0.0],
-        constraint_matrix=[[1.0, 1.0], [2.0, 2.0]],
-        constraint_rhs=[1.0, 2.0],
-        relations=("=", "="),
-        nonnegative=[True, True],
-    )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(0.0, abs=TOL)
-    assert sol.x == pytest.approx([0.0, 1.0], abs=TOL)
-
-
-def test_free_variable_reaches_negative_values():
-    lp = LinearProgram(
-        objective=[1.0],
-        constraint_matrix=[[1.0]],
-        constraint_rhs=[-5.0],
-        relations=(">=",),
-        nonnegative=[False],
-    )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(-5.0, abs=TOL)
-    assert sol.x[0] == pytest.approx(-5.0, abs=TOL)
-
-
-def test_infeasible_detected():
-    lp = LinearProgram(
-        objective=[1.0],
-        constraint_matrix=[[1.0]],
-        constraint_rhs=[-1.0],
-        relations=("<=",),
-        nonnegative=[True],
-    )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.INFEASIBLE
-    assert sol.x is None
-    assert sol.objective_value is None
-
-
-def test_unbounded_detected():
-    lp = LinearProgram(
-        objective=[-1.0, 0.0],
-        constraint_matrix=[[0.0, 1.0]],
-        constraint_rhs=[1.0],
-        relations=("<=",),
-        nonnegative=[True, True],
-    )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.UNBOUNDED
-
-
-def test_degenerate_pivoting_terminates():
-    # Beale's classic cycling instance; Bland's rule must terminate on it
-    lp = LinearProgram(
-        objective=[-0.75, 150.0, -0.02, 6.0],
-        constraint_matrix=[
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        constraint_rhs=[0.0, 0.0, 1.0],
-        relations=("<=", "<=", "<="),
-        nonnegative=[True, True, True, True],
-    )
-    sol = solve_lp(lp)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(vertex_oracle(lp), abs=TOL)
+    # max w0 + w1 s.t. 2 w0 + w1 <= 1, w0 + 2 w1 <= 1: optimum (1/3, 1/3)
+    B = np.array([[2.0, 1.0], [1.0, 2.0]])
+    w, u = solve_lp(B)
+    assert w == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=TOL)
+    assert u == pytest.approx([1.0 / 3.0, 1.0 / 3.0], abs=TOL)
+    check_optimal_pair(B, w, u)
 
 
 def test_random_lps_match_vertex_oracle():
     rng = np.random.default_rng(20260815)
-    checked = 0
     for _ in range(200):
-        lp = random_bounded_lp(rng)
-        expected = vertex_oracle(lp)
-        assert expected is not None, "generator must produce feasible instances"
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(expected, abs=TOL)
-        # reported point must be feasible and achieve the reported value
-        x = sol.x
-        assert (x >= -FEAS).all()
-        for row, rel, rhs in zip(lp.constraint_matrix, lp.relations, lp.constraint_rhs):
-            lhs = float(row @ x)
-            if rel == "<=":
-                assert lhs <= rhs + FEAS
-            elif rel == ">=":
-                assert lhs >= rhs - FEAS
-            else:
-                assert lhs == pytest.approx(rhs, abs=FEAS)
-        assert float(lp.objective @ x) == pytest.approx(sol.objective_value, abs=TOL)
-        checked += 1
-    assert checked == 200
+        B = rng.uniform(1.0, 3.0, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        w, u = solve_lp(B)
+        assert w.sum() == pytest.approx(vertex_oracle(B), abs=TOL)
+        check_optimal_pair(B, w, u)
+
+
+DEGENERATE = (
+    np.full((1, 1), 2.0),
+    np.full((3, 3), 2.0),
+    np.full((4, 2), 1.0),
+    np.array([[1.0, 3.0, 1.0], [3.0, 1.0, 3.0], [1.0, 3.0, 1.0]]),
+    np.array([[2.0, 2.0, 3.0, 3.0], [2.0, 2.0, 3.0, 3.0], [3.0, 3.0, 1.0, 1.0]]),
+    np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 2.0], [2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [3.0, 3.0, 3.0]]),
+    np.array([[3.0, 1.0], [1.0, 1.0]]),
+)
+
+
+def test_degenerate_pivoting_terminates():
+    # all-equal entries, repeated rows and columns: ties in the ratio test
+    # everywhere, and Bland's rule must not cycle
+    rng = np.random.default_rng(31)
+    random_cases = []
+    for _ in range(100):
+        m, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        B = rng.integers(1, 4, size=(m, k)).astype(float)
+        B = np.vstack([B, B[rng.integers(m)]])
+        random_cases.append(np.column_stack([B, B[:, rng.integers(k)]]))
+    for B in (*DEGENERATE, *random_cases):
+        w, u = solve_lp(B)
+        assert w.sum() == pytest.approx(vertex_oracle(B), abs=TOL)
+        check_optimal_pair(B, w, u)
+
+
+def test_unbounded_detected():
+    # outside the kernel's contract: a column with no positive entry can grow forever
+    with pytest.raises(RuntimeError, match="no positive entry"):
+        solve_lp(np.array([[1.0, 0.0], [2.0, -1.0]]))
 
 
 def test_solver_is_deterministic():
     rng = np.random.default_rng(7)
-    lp = random_bounded_lp(rng)
-    first = solve_lp(lp)
-    second = solve_lp(lp)
-    assert first.objective_value == second.objective_value
-    assert (first.x == second.x).all()
-
-
-def test_shape_validation():
-    with pytest.raises(DimensionError):
-        LinearProgram(
-            objective=[1.0, 2.0],
-            constraint_matrix=[[1.0]],
-            constraint_rhs=[1.0],
-            relations=("<=",),
-            nonnegative=[True],
-        )
-
-
-def test_relation_validation():
-    with pytest.raises(InputError):
-        LinearProgram(
-            objective=[1.0],
-            constraint_matrix=[[1.0]],
-            constraint_rhs=[1.0],
-            relations=("<",),
-            nonnegative=[True],
-        )
-
-
-def test_nonfinite_rejected():
-    with pytest.raises(InputError):
-        LinearProgram(
-            objective=[np.nan],
-            constraint_matrix=[[1.0]],
-            constraint_rhs=[1.0],
-            relations=("<=",),
-            nonnegative=[True],
-        )
+    B = rng.uniform(1.0, 3.0, size=(4, 3))
+    first = solve_lp(B)
+    second = solve_lp(B)
+    assert (first[0] == second[0]).all()
+    assert (first[1] == second[1]).all()
