@@ -6,14 +6,20 @@ families of constraints: no agent is worse off than its outside option
 (value rationality, strategy-aware metric only), and no cross pair can
 jointly deviate (blocking cover). Subsidies are nonnegative.
 
-The exact solver works on per-agent lower bounds plus a branch-and-bound
-cover search over the cross pairs whose constraints bind. oracle_mi is an
-independent brute-force route over candidate subsidy grids and must not
-share the cover machinery.
+The exact solver works on per-agent lower bounds (floors), then covers the
+cross pairs whose constraints bind. Each such pair needs its left or its
+right member raised to its gap; with every agent's subsidy written as
+threshold indicators over its candidate levels, the cheapest cover is a
+minimum-weight closure (Picard 1976), found by one s-t minimum cut in
+polynomial time. Among optimal covers the solver returns the one that
+raises left agents least, so the result does not depend on the order of
+the pairs or on agent labels. oracle_mi is an independent brute-force
+route over candidate subsidy grids and must not share the cover machinery.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,40 +115,129 @@ def _solve_cover(
     pairs: list,
     tol: float,
 ) -> dict:
-    """Minimize total subsidy over per-pair cover choices.
+    """Minimize total subsidy over the active pairs' covers by one min cut.
 
     pairs entries are (left agent, right agent, left gap, right gap); each
-    pair needs one member raised to its gap. Depth-first search over the
-    cover assignments with a running-total prune; ties keep the first
-    solution found, so the result is deterministic in the input order.
+    pair needs one member raised to within tol of its gap. An agent's
+    candidate levels are its floor and its gaps. Each level above the floor
+    is a node: for a left agent it means [s >= level] and pays its step on
+    an edge to the sink, for a right agent it means [s < level] and pays its
+    step on an edge from the source; infinite chain edges keep both ladders
+    monotone. A pair forbids leaving both members below their covering
+    levels (the lowest level >= gap - tol) with one infinite edge from the
+    right member's node to the left member's. Dinic's algorithm finds a
+    maximum flow, and the nodes still reachable from the source, the
+    smallest minimum cut's source side, give the subsidies: among optimal
+    covers, the one that raises left agents least, whatever the order of
+    the pairs or the agents' labels.
     """
     subsidies = dict(floors)
     if not pairs:
         return subsidies
-    best: dict | None = None
-    best_total = math.inf
+    left_gaps: dict = {}
+    right_gaps: dict = {}
+    for left, right, gap_left, gap_right in pairs:
+        left_gaps.setdefault(left, set()).add(gap_left)
+        right_gaps.setdefault(right, set()).add(gap_right)
 
-    def dfs(idx: int, current: dict, total: float) -> None:
-        nonlocal best, best_total
-        if total >= best_total - 1e-15:
-            return
-        if idx == len(pairs):
-            best = dict(current)
-            best_total = total
-            return
-        left, right, gap_left, gap_right = pairs[idx]
-        if current[left] >= gap_left - tol or current[right] >= gap_right - tol:
-            dfs(idx + 1, current, total)
-            return
-        for agent, gap in ((left, gap_left), (right, gap_right)):
-            previous = current[agent]
-            current[agent] = gap
-            dfs(idx + 1, current, total + gap - previous)
-            current[agent] = previous
+    # Node 0 is the source and node 1 the sink. Edge e runs to to[e] with
+    # residual capacity res[e]; e ^ 1 is its reverse.
+    adjacency: list = [[], []]
+    to: list = []
+    res: list = []
 
-    dfs(0, subsidies, sum(subsidies.values()))
-    assert best is not None
-    return best
+    def link(u: int, v: int, capacity: float) -> None:
+        adjacency[u].append(len(to))
+        to.append(v)
+        res.append(capacity)
+        adjacency[v].append(len(to))
+        to.append(u)
+        res.append(0.0)
+
+    # ladders[agent] = (first node, levels): node first + t stands for
+    # levels[t + 1], and levels[0] is the agent's floor.
+    ladders: dict = {}
+    for gaps, is_left in ((left_gaps, True), (right_gaps, False)):
+        for agent, agent_gaps in gaps.items():
+            levels = [floors[agent], *sorted(agent_gaps)]
+            ladders[agent] = (len(adjacency), levels)
+            for t in range(1, len(levels)):
+                node = len(adjacency)
+                adjacency.append([])
+                step = levels[t] - levels[t - 1]
+                if is_left:
+                    link(node, 1, step)
+                    if t > 1:
+                        link(node, node - 1, math.inf)
+                else:
+                    link(0, node, step)
+                    if t > 1:
+                        link(node - 1, node, math.inf)
+    for left, right, gap_left, gap_right in pairs:
+        first_left, levels_left = ladders[left]
+        first_right, levels_right = ladders[right]
+        link(
+            first_right + bisect.bisect_left(levels_right, gap_right - tol) - 1,
+            first_left + bisect.bisect_left(levels_left, gap_left - tol) - 1,
+            math.inf,
+        )
+
+    count = len(adjacency)
+    while True:
+        level = [-1] * count
+        level[0] = 0
+        queue = [0]
+        for u in queue:
+            next_level = level[u] + 1
+            for e in adjacency[u]:
+                v = to[e]
+                if level[v] < 0 and res[e] > 0.0:
+                    level[v] = next_level
+                    queue.append(v)
+        if level[1] < 0:
+            break
+        # blocking flow: iterative depth-first search with per-node cursors
+        cursor = [0] * count
+        path: list = []
+        u = 0
+        while True:
+            if u == 1:
+                push = min(res[e] for e in path)
+                for e in path:
+                    res[e] -= push
+                    res[e ^ 1] += push
+                saturated = next(idx for idx, e in enumerate(path) if res[e] == 0.0)
+                u = to[path[saturated] ^ 1]
+                del path[saturated:]
+                continue
+            edges = adjacency[u]
+            i = cursor[u]
+            next_level = level[u] + 1
+            while i < len(edges):
+                e = edges[i]
+                if res[e] > 0.0 and level[to[e]] == next_level:
+                    break
+                i += 1
+            cursor[u] = i
+            if i < len(edges):
+                path.append(e)
+                u = to[e]
+            elif path:
+                u = to[path.pop() ^ 1]
+                cursor[u] += 1
+            else:
+                break
+
+    # level[node] >= 0 marks the source side of the smallest minimum cut: a
+    # left agent is raised through its reachable nodes, a right agent
+    # through its unreachable ones.
+    for agent, (first, levels) in ladders.items():
+        raised = agent in left_gaps
+        t = 0
+        while t + 1 < len(levels) and (level[first + t] >= 0) == raised:
+            t += 1
+        subsidies[agent] = levels[t]
+    return subsidies
 
 
 def _floor(c2: float, c3: float | None, tol: float) -> tuple[float, str]:
@@ -173,8 +268,12 @@ def _audit(
     right_gain[j, i] the mirror; current[agent] and outside(agent) give an
     agent's current utility and outside option. A matched agent's value-gap
     term compares its own pair's gain with its current utility, so it is
-    zero when that utility is read from the gain tables themselves.
+    zero when that utility is read from the gain tables themselves. tol
+    must be nonnegative: the cover's covering levels assume gap - tol never
+    exceeds the gap.
     """
+    if not tol >= 0.0:
+        raise InputError(f"tol must be a nonnegative number, got {tol!r}")
     p, a = left_gain.shape
     floors: dict = {}
     tags: dict = {}
@@ -271,13 +370,15 @@ def single_pair_deviation(instance: MarketInstance, strategies: dict) -> float:
 
 
 def oracle_mi(instance: MarketInstance, matching: Matching, strategies: dict) -> float:
-    """Exact instability by exhaustive search; independent of _solve_cover.
+    """Exact instability by exhaustive search, without the min-cut cover solver.
 
     Builds per-agent candidate subsidy grids (the agent's own lower bound
     plus every cross-pair gap it appears in) and checks every combination
     against the constraint system directly. Game values come from the
     enumeration-based game oracle, keeping the whole route off the LP path.
-    Only desk-scale markets are accepted.
+    Only the total is returned, so the min cut's choice among tied optimal
+    covers (the one raising left agents least) cannot show here. Only
+    desk-scale markets are accepted.
     """
     if instance.p > ORACLE_MAX_AGENTS_PER_SIDE or instance.a > ORACLE_MAX_AGENTS_PER_SIDE:
         raise InputError(

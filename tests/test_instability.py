@@ -1,16 +1,19 @@
 """Instability metric: hand cases, reductions, oracle agreement, invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import build_example_market, build_example_profile
 
 from matchgames.errors import DimensionError, InputError
-from matchgames.games import oracle_solve_game, solve_game
+from matchgames.games import game_value, oracle_solve_game, solve_game
 from matchgames.instability import (
     TAG_COVER,
     TAG_NONE,
     TAG_PARTICIPATION,
     TAG_VALUE_GAP,
+    _audit,
     matching_instability,
     oracle_mi,
     realized_utilities,
@@ -296,7 +299,197 @@ def test_profile_validation():
         )
 
 
+def test_negative_tolerance_rejected():
+    utilities = UtilityTable(
+        np.array([[1.0, 0.5], [0.3, 0.2]]), np.array([[0.4, 0.6], [0.7, 0.1]]), (0.0, 0.0), (0.0, 0.0)
+    )
+    for tol in (-1e-3, float("nan")):
+        with pytest.raises(InputError):
+            subset_instability(utilities, Matching(()), tol=tol)
+    assert subset_instability(utilities, Matching(()), tol=0.0).value == pytest.approx(1.2, abs=1e-12)
+
+
 def test_oracle_refuses_large_markets():
     instance = generate_instance(4, 2, 1, 1)
     with pytest.raises(InputError):
         oracle_mi(instance, Matching(()), {})
+
+
+def brute_force_cover(left_gain, right_gain, pairs, current, outside, tol):
+    """Cheapest total subsidy over level assignments, from the raw constraints.
+
+    An agent's lower bound is its participation and value-gap requirement;
+    its levels are that bound and its cross-pair gaps above it. Every
+    assignment of levels to the left agents is enumerated; each right agent
+    then takes the least level that covers the pairs its left partners
+    leave open, which is optimal for that left assignment.
+    """
+    p, a = left_gain.shape
+    partner_left = dict(pairs)
+    partner_right = {j: i for i, j in pairs}
+    lower_left = np.array([
+        max(0.0, outside[0][i] - current[0][i],
+            left_gain[i, partner_left[i]] - current[0][i] if i in partner_left else 0.0)
+        for i in range(p)
+    ])
+    lower_right = np.array([
+        max(0.0, outside[1][j] - current[1][j],
+            right_gain[j, partner_right[j]] - current[1][j] if j in partner_right else 0.0)
+        for j in range(a)
+    ])
+    gap_left = left_gain - np.asarray(current[0])[:, None]
+    gap_right = right_gain.T - np.asarray(current[1])[None, :]
+    cross = np.ones((p, a), dtype=bool)
+    for i, j in pairs:
+        cross[i, j] = False
+    levels = [
+        sorted({lower_left[i], *(g for g in gap_left[i][cross[i]] if g > lower_left[i])})
+        for i in range(p)
+    ]
+    combos = np.array(list(itertools.product(*levels)), dtype=float).reshape(-1, p)
+    total = combos.sum(axis=1)
+    for j in range(a):
+        need = np.full(len(combos), lower_right[j])
+        for i in range(p):
+            if cross[i, j] and gap_right[i, j] > lower_right[j] + tol:
+                open_pair = gap_left[i, j] - combos[:, i] > tol
+                need = np.where(open_pair, np.maximum(need, gap_right[i, j]), need)
+        total += need
+    return float(total.min())
+
+
+def test_cover_matches_level_brute_force():
+    rng = np.random.default_rng(36)
+    tol = 1e-9
+
+    def value_of(agent, table):
+        return float(table[0 if agent.side is Side.LEFT else 1][agent.index])
+
+    for case in range(200):
+        p, a = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        if case % 2 == 0:  # integer-valued, with many tied covers
+            left_gain = rng.integers(-1, 4, size=(p, a)).astype(float)
+            right_gain = rng.integers(-1, 4, size=(a, p)).astype(float)
+            current = (rng.integers(-2, 1, size=p).astype(float), rng.integers(-2, 1, size=a).astype(float))
+            outside = (rng.integers(-2, 1, size=p).astype(float), rng.integers(-2, 1, size=a).astype(float))
+        else:
+            left_gain = rng.uniform(-0.5, 2.0, size=(p, a))
+            right_gain = rng.uniform(-0.5, 2.0, size=(a, p))
+            current = (rng.uniform(-1.0, 0.5, size=p), rng.uniform(-1.0, 0.5, size=a))
+            outside = (rng.uniform(-1.0, 0.0, size=p), rng.uniform(-1.0, 0.0, size=a))
+        size = int(rng.integers(0, min(p, a) + 1))
+        pairs = tuple(zip(
+            sorted(rng.choice(p, size=size, replace=False).tolist()),
+            rng.choice(a, size=size, replace=False).tolist(),
+        ))
+        matching = Matching(pairs)
+        report = _audit(
+            left_gain, right_gain, matching,
+            {agent: value_of(agent, current)
+             for agent in [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]},
+            lambda agent: value_of(agent, outside),
+            tol,
+        )
+        expected = brute_force_cover(left_gain, right_gain, pairs, current, outside, tol)
+        assert report.value == pytest.approx(expected, abs=1e-9)
+
+        s = report.subsidies.amounts
+        s_left = np.array([s[AgentId.left(i)] for i in range(p)])
+        s_right = np.array([s[AgentId.right(j)] for j in range(a)])
+        assert (s_left >= 0.0).all() and (s_right >= 0.0).all()
+        assert (outside[0] - current[0] - s_left <= tol).all()
+        assert (outside[1] - current[1] - s_right <= tol).all()
+        for i, j in pairs:
+            assert left_gain[i, j] - current[0][i] - s_left[i] <= tol
+            assert right_gain[j, i] - current[1][j] - s_right[j] <= tol
+        for i in range(p):
+            for j in range(a):
+                if (i, j) not in pairs:
+                    assert min(
+                        left_gain[i, j] - current[0][i] - s_left[i],
+                        right_gain[j, i] - current[1][j] - s_right[j],
+                    ) <= tol
+
+
+def integer_market(rng, n):
+    """An n x n market of 2x2 games with small integer payoffs and outside options."""
+    return MarketInstance(
+        p=n, a=n, m=2, k=2,
+        games=rng.integers(-2, 3, size=(n, n, 2, 2)).astype(float),
+        left_outside=tuple(rng.integers(-3, 0, size=n).astype(float)),
+        right_outside=tuple(rng.integers(-3, 0, size=n).astype(float)),
+    )
+
+
+def test_audit_is_equivariant_under_relabelling():
+    rng = np.random.default_rng(37)
+    pure = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        instance = integer_market(rng, n)
+        matching = random_matching(instance, rng)
+        profile = {
+            agent: pure[int(rng.integers(3))]
+            for i, j in matching.pairs
+            for agent in (AgentId.left(i), AgentId.right(j))
+        }
+        report = matching_instability(instance, matching, profile)
+        for _ in range(3):
+            to_left, to_right = rng.permutation(n), rng.permutation(n)
+
+            def moved(agent):
+                if agent.side is Side.LEFT:
+                    return AgentId.left(int(to_left[agent.index]))
+                return AgentId.right(int(to_right[agent.index]))
+
+            games = np.empty_like(instance.games)
+            games[np.ix_(to_left, to_right)] = instance.games
+            left_outside = np.empty(n)
+            left_outside[to_left] = instance.left_outside
+            right_outside = np.empty(n)
+            right_outside[to_right] = instance.right_outside
+            relabelled = MarketInstance(
+                p=n, a=n, m=2, k=2, games=games,
+                left_outside=tuple(left_outside), right_outside=tuple(right_outside),
+            )
+            pairs = tuple(sorted((int(to_left[i]), int(to_right[j])) for i, j in matching.pairs))
+            other = matching_instability(
+                relabelled, Matching(pairs), {moved(agent): x for agent, x in profile.items()}
+            )
+            assert other.subsidies.amounts == {
+                moved(agent): amount for agent, amount in report.subsidies.amounts.items()
+            }
+            assert other.binding == {moved(agent): tag for agent, tag in report.binding.items()}
+            assert other.value == pytest.approx(report.value, rel=1e-12, abs=1e-12)
+
+
+def test_audit_scales_with_payoff_units():
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        instance = integer_market(rng, n)
+        matching = random_matching(instance, rng)
+        profile = random_profile(instance, matching, rng)
+        base = matching_instability(instance, matching, profile).value
+        for c in (0.5, 2.0, 10.0, 1000.0):
+            scaled = MarketInstance(
+                p=n, a=n, m=2, k=2, games=c * instance.games,
+                left_outside=tuple(c * np.asarray(instance.left_outside)),
+                right_outside=tuple(c * np.asarray(instance.right_outside)),
+            )
+            value = matching_instability(scaled, matching, profile).value
+            assert value == pytest.approx(c * base, rel=1e-9, abs=1e-12)
+
+
+def test_empty_matching_audit_at_n30_is_bounded():
+    n = 30
+    instance = generate_instance(n, n, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=39)
+    values = np.array([[game_value(instance.games[i, j]) for j in range(n)] for i in range(n)])
+    report = matching_instability(instance, Matching(()), {}, game_values=values)
+    assert len(report.active_pairs) >= 700
+    # unmatched agents sit at their outside options, so every floor is zero
+    gap_left = values - np.asarray(instance.left_outside)[:, None]
+    gap_right = -values - np.asarray(instance.right_outside)[None, :]
+    raise_left = np.maximum(gap_left.max(axis=1), 0.0).sum()
+    raise_right = np.maximum(gap_right.max(axis=0), 0.0).sum()
+    assert 0.0 <= report.value <= min(raise_left, raise_right) + 1e-9
