@@ -39,7 +39,6 @@ from .learning import (
     Policy,
     StepRecord,
     auto_delta,
-    lcb_matrix,
     run_episode,
     ucb_matrix,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "game_value",
     "generate_instance",
     "is_stable",
-    "lcb_matrix",
     "matching_instability",
     "maximin",
     "oracle_mi",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +36,7 @@ from .games import solve_game
 from .learning import Policy
 from .market import Generator, Side, deferred_acceptance, generate_instance
 
-_CONFIG_KEYS = (
-    "p", "a", "m", "k", "T", "runs", "seeds_base", "policy", "generator",
-    "outside_option", "delta", "noise_scale", "output_dir", "workers",
-)
+_CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)}
 
 
 def _print(record: dict) -> None:
@@ -45,12 +44,7 @@ def _print(record: dict) -> None:
 
 
 def _parse_delta(raw) -> float | None:
-    if raw is None or raw == "auto":
-        return None
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"delta must be a number or 'auto', got {raw!r}") from None
+    return None if raw == "auto" else float(raw)
 
 
 def _load_config_file(path) -> dict:
@@ -60,7 +54,7 @@ def _load_config_file(path) -> dict:
         raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(document, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    unknown = set(document) - set(_CONFIG_KEYS)
+    unknown = set(document) - _CONFIG_KEYS
     if unknown:
         raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
     return document
@@ -69,28 +63,34 @@ def _load_config_file(path) -> dict:
 def _cmd_simulate(args) -> int:
     file_config = _load_config_file(args.config) if args.config else {}
 
-    def setting(key, default=None):
+    def setting(key, convert, default=None):
         flag = getattr(args, key)
-        return flag if flag is not None else file_config.get(key, default)
+        value = flag if flag is not None else file_config.get(key, default)
+        if value is None:
+            return None
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            raise InputError(f"setting {key!r} has a bad value {value!r}") from None
 
     for key in ("p", "a", "m", "k", "T"):
-        if setting(key) is None:
+        if setting(key, int) is None:
             raise InputError(f"missing required setting {key!r} (flag or config file)")
     config = ExperimentConfig(
-        p=int(setting("p")),
-        a=int(setting("a")),
-        m=int(setting("m")),
-        k=int(setting("k")),
-        T=int(setting("T")),
-        runs=int(setting("runs", 50)),
-        seeds_base=int(setting("seeds_base", 0)),
-        policy=Policy(setting("policy", Policy.SELF_PLAY.value)),
-        generator=Generator(setting("generator", Generator.GAUSSIAN_UNIT.value)),
-        outside_option=float(setting("outside_option", -1.0)),
-        delta=_parse_delta(setting("delta")),
-        noise_scale=float(setting("noise_scale", 1.0)),
-        output_dir=setting("output_dir"),
-        workers=None if setting("workers") is None else int(setting("workers")),
+        p=setting("p", int),
+        a=setting("a", int),
+        m=setting("m", int),
+        k=setting("k", int),
+        T=setting("T", int),
+        runs=setting("runs", int, 50),
+        seeds_base=setting("seeds_base", int, 0),
+        policy=setting("policy", Policy, Policy.SELF_PLAY.value),
+        generator=setting("generator", Generator, Generator.GAUSSIAN_UNIT.value),
+        outside_option=setting("outside_option", float, -1.0),
+        delta=setting("delta", _parse_delta),
+        noise_scale=setting("noise_scale", float, 1.0),
+        output_dir=setting("output_dir", os.fspath),
+        workers=setting("workers", int),
     )
     trace = run_experiment(config)
     _print(

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +162,6 @@ def _single_run(config: ExperimentConfig, run_index: int, output_dir: str) -> np
     return cumulative
 
 
-def _single_run_star(args: tuple) -> np.ndarray:
-    return _single_run(*args)
-
-
 def resolve_output_dir(configured: str | None) -> Path:
     raw = configured or os.environ.get(OUTPUT_DIR_ENV)
     if not raw:
@@ -180,12 +177,13 @@ def run_experiment(config: ExperimentConfig) -> RegretTrace:
     output_dir.mkdir(parents=True, exist_ok=True)
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, config.runs))
-    tasks = [(config, run_index, str(output_dir)) for run_index in range(config.runs)]
+    # map keeps run order, so the files do not depend on the worker count
+    tasks = (repeat(config), range(config.runs), repeat(str(output_dir)))
     if workers == 1:
-        cumulative_rows = [_single_run_star(task) for task in tasks]
+        cumulative_rows = list(map(_single_run, *tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cumulative_rows = list(pool.map(_single_run_star, tasks))
+            cumulative_rows = list(pool.map(_single_run, *tasks))
     cumulative = np.vstack(cumulative_rows)
     mean = cumulative.mean(axis=0)
     std = cumulative.std(axis=0)

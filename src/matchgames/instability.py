@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .games import game_value, oracle_solve_game
+from .games import check_strategy, game_value, oracle_solve_game
 from .market import AgentId, Matching, MarketInstance, Side, UtilityTable
 
 DEFAULT_TOL = 1e-9
@@ -76,7 +76,7 @@ def realized_utilities(
 
     Matched agents get the bilinear payoff of their pair's game; unmatched
     agents sit at their outside option. The profile must contain exactly the
-    matched agents, with strategy lengths matching each side's action count.
+    matched agents, each with a mixed strategy over its side's actions.
     """
     matching.validate_for(instance.p, instance.a)
     expected = {
@@ -93,13 +93,11 @@ def realized_utilities(
         )
     out: dict = {}
     for i, j in matching.pairs:
-        x = np.asarray(strategies[AgentId.left(i)], dtype=float)
-        y = np.asarray(strategies[AgentId.right(j)], dtype=float)
-        if x.shape != (instance.m,) or y.shape != (instance.k,):
-            raise DimensionError(
-                f"pair {(i, j)} strategies have shapes {x.shape}/{y.shape}, "
-                f"expected ({instance.m},)/({instance.k},)"
-            )
+        try:
+            x = check_strategy(strategies[AgentId.left(i)], instance.m)
+            y = check_strategy(strategies[AgentId.right(j)], instance.k)
+        except InputError as exc:
+            raise type(exc)(f"pair {(i, j)}: {exc}") from exc
         payoff = float(x @ instance.games[i, j] @ y)
         out[AgentId.left(i)] = payoff
         out[AgentId.right(j)] = -payoff

@@ -1,14 +1,15 @@
 """Optimistic bandit learning of matching equilibria under noisy feedback.
 
-Each round, every cross pair is scored by the minimax value of its
-upper-confidence payoff matrix; preference lists built from those values
-feed deferred acceptance, matched pairs play their optimistic maximin
-strategies, and one noisy zero-sum reward per pair updates a shared
-left-view estimate table. The three policies differ only in the right
-side's table of preference values and per-pair strategies: SELF_PLAY fills
-it from the right side's own optimistic maximin, NASH_RESPONSE from the
-exact game solutions (fixed for the episode), and BEST_RESPONSE from pure
-best responses to the left side's current optimistic strategies.
+Each round makes one pass: the pairs whose statistics changed are scored by
+the minimax value of their upper-confidence payoff matrices, preference
+lists built from those values feed deferred acceptance, and each matched
+pair plays its optimistic maximin strategies and feeds one noisy zero-sum
+reward into a shared left-view estimate table. The three policies differ
+only in the right side's table of preference values and per-pair
+strategies: SELF_PLAY refreshes it from the right side's own optimistic
+maximin, NASH_RESPONSE fills it once from the exact game solutions, and
+BEST_RESPONSE refreshes it with pure best responses to the left side's
+current optimistic strategies.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from .errors import InputError
-from .games import best_response, check_strategy, maximin, solve_game
+from .games import best_response, maximin, solve_game
 from .instability import matching_instability
 from .market import (
     AgentId,
@@ -66,9 +68,10 @@ class ConfidenceState:
         self.counts[cell] += 1
         self.means[cell] += (reward - self.means[cell]) / self.counts[cell]
 
-    def width(self, i: int, j: int) -> np.ndarray:
-        """Per-cell confidence radius; unvisited cells count as one visit."""
-        n = np.maximum(self.counts[i, j], 1)
+    def width(self, *pair: int) -> np.ndarray:
+        """Per-cell confidence radius of pair (i, j), or of every pair if none
+        is given; unvisited cells count as one visit."""
+        n = np.maximum(self.counts[pair], 1)
         return np.sqrt(2.0 * math.log(1.0 / self.delta) / n)
 
 
@@ -86,60 +89,11 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     return -state.means[i, j].T + width.T
 
 
-def lcb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.LEFT) -> np.ndarray:
-    """Pessimistic mirror of ucb_matrix."""
-    i, j = pair
-    width = state.width(i, j)
-    if side is Side.LEFT:
-        return state.means[i, j] - width
-    return -state.means[i, j].T - width.T
-
-
-@dataclass(frozen=True)
-class RightSidePlan:
-    """Right-side preference values and per-pair strategies.
-
-    values[j, i] is the utility right agent j expects against left agent i;
-    strategies[j][i] is the mixed strategy it would play in that pair.
-    """
-
-    values: np.ndarray
-    strategies: list
-
-
-def nash_response_strategies(instance: MarketInstance) -> RightSidePlan:
-    """Right side plays exact minimax and reports true game values."""
-    values = np.zeros((instance.a, instance.p))
-    strategies: list = [[None] * instance.p for _ in range(instance.a)]
-    for i in range(instance.p):
-        for j in range(instance.a):
-            solution = solve_game(instance.games[i, j])
-            values[j, i] = -solution.value
-            strategies[j][i] = solution.column_strategy
-    return RightSidePlan(values=values, strategies=strategies)
-
-
 def _exploit(game: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Right side's pure best response to x in its own game, and its payoff."""
     own_game = -game.T
     response = best_response(own_game, x)
     return float(response @ own_game @ x), response
-
-
-def best_response_strategies(instance: MarketInstance, left_strategies) -> RightSidePlan:
-    """Right side best-responds in its own game to known left strategies.
-
-    left_strategies[i][j] is what left agent i would play against right
-    agent j. The response is pure (lowest index on ties) and the reported
-    value is the payoff it actually achieves.
-    """
-    values = np.zeros((instance.a, instance.p))
-    strategies: list = [[None] * instance.p for _ in range(instance.a)]
-    for i in range(instance.p):
-        for j in range(instance.a):
-            x = check_strategy(left_strategies[i][j], instance.m)
-            values[j, i], strategies[j][i] = _exploit(instance.games[i, j], x)
-    return RightSidePlan(values=values, strategies=strategies)
 
 
 @dataclass(frozen=True)
@@ -169,23 +123,6 @@ class StepRecord:
 _LEFT_ACTION, _RIGHT_ACTION, _REWARD = 0, 1, 2
 
 
-class _Streams:
-    """One named counter-based random stream per (purpose, pair)."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._cache: dict = {}
-
-    def get(self, purpose: int, i: int, j: int) -> np.random.Generator:
-        key = (purpose, i, j)
-        generator = self._cache.get(key)
-        if generator is None:
-            sequence = np.random.SeedSequence(entropy=self.seed, spawn_key=(purpose, i, j))
-            generator = np.random.default_rng(sequence)
-            self._cache[key] = generator
-        return generator
-
-
 def run_episode(
     instance: MarketInstance,
     policy: Policy,
@@ -213,29 +150,37 @@ def run_episode(
     if delta is None:
         delta = auto_delta(T, p, a, m, k)
     state = ConfidenceState.fresh(p, a, m, k, float(delta))
-    streams = _Streams(seed)
-    log_term = 2.0 * math.log(1.0 / state.delta)
 
-    # Left side: optimistic maximin value and strategy per pair, re-solved
-    # only for pairs whose statistics changed. Right side: one table for every
-    # policy, laid out as in RightSidePlan; only its refresh reads the policy.
+    @cache
+    def stream(purpose: int, i: int, j: int) -> np.random.Generator:
+        """One counter-based random stream per (purpose, pair)."""
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(purpose, i, j))
+        )
+
+    # Left side: optimistic maximin value and strategy per pair. Right side:
+    # right_value[j, i] is what right agent j expects against left agent i and
+    # right_play[j][i] the strategy it plays there. Nash-response fills the
+    # right side's table here, once; the other policies refresh it per pair.
     left_value = np.zeros((p, a))
     left_play = [[None] * a for _ in range(p)]
-    if policy is Policy.NASH_RESPONSE:
-        plan = nash_response_strategies(instance)
-        right_value, right_play = plan.values, plan.strategies
-        true_values = -right_value.T
-    else:
-        right_value = np.zeros((a, p))
-        right_play = [[None] * p for _ in range(a)]
-        true_values = np.array(
-            [[maximin(instance.games[i, j])[0] for j in range(a)] for i in range(p)]
-        )
-    dirty = {(i, j) for i in range(p) for j in range(a)}
+    right_value = np.zeros((a, p))
+    right_play = [[None] * p for _ in range(a)]
+    true_values = np.zeros((p, a))
+    for i in range(p):
+        for j in range(a):
+            if policy is Policy.NASH_RESPONSE:
+                solution = solve_game(instance.games[i, j])
+                true_values[i, j] = solution.value
+                right_value[j, i], right_play[j][i] = -solution.value, solution.column_strategy
+            else:
+                true_values[i, j] = maximin(instance.games[i, j])[0]
 
     records: list[StepRecord] = []
+    refresh = [(i, j) for i in range(p) for j in range(a)]
     for t in range(1, T + 1):
-        for i, j in sorted(dirty):
+        # Round 1 solves every pair; later rounds only the pairs that played.
+        for i, j in refresh:
             left_value[i, j], left_play[i][j] = maximin(ucb_matrix(state, (i, j)))
             if policy is Policy.SELF_PLAY:
                 right_value[j, i], right_play[j][i] = maximin(
@@ -245,61 +190,56 @@ def run_episode(
                 right_value[j, i], right_play[j][i] = _exploit(
                     instance.games[i, j], left_play[i][j]
                 )
-        dirty.clear()
 
         prefs = preferences_from_values(
             left_value, right_value, instance.left_outside, instance.right_outside
         )
         matching = deferred_acceptance(prefs, proposing_side)
 
+        widths = state.width()
+        event_ok = bool((np.abs(state.means - instance.games) <= widths).all())
         strategies: dict = {}
-        for i, j in matching.pairs:
-            strategies[AgentId.left(i)] = left_play[i][j]
-            strategies[AgentId.right(j)] = right_play[j][i]
-
-        widths_all = np.sqrt(log_term / np.maximum(state.counts, 1))
-        event_ok = bool((np.abs(state.means - instance.games) <= widths_all).all())
-
+        actions: dict = {}
+        rewards: dict = {}
         width_bound = 0.0
+        # Each agent's optimistic expected payoff: the mean payoff of its match
+        # plus the played profile's width mass; unmatched agents sit outside.
+        # A pair's statistics are read before its own update, and matched
+        # pairs are disjoint, so the update inside this loop reaches no other
+        # pair's reads.
+        optimistic_left = instance.left_outside.copy()
+        optimistic_right = instance.right_outside.copy()
         for i, j in matching.pairs:
-            width_bound += 4.0 * float(left_play[i][j] @ widths_all[i, j] @ right_play[j][i])
+            x, y = left_play[i][j], right_play[j][i]
+            mass = float(x @ widths[i, j] @ y)
+            mean = float(x @ state.means[i, j] @ y)
+            width_bound += 4.0 * mass
+            optimistic_left[i], optimistic_right[j] = mean + mass, mass - mean
+
+            row_action = int(stream(_LEFT_ACTION, i, j).choice(m, p=x))
+            col_action = int(stream(_RIGHT_ACTION, i, j).choice(k, p=y))
+            noise = float(stream(_REWARD, i, j).standard_normal())
+            reward = float(instance.games[i, j, row_action, col_action]) + noise_scale * noise
+            state.update(i, j, row_action, col_action, reward)
+            left, right = AgentId.left(i), AgentId.right(j)
+            strategies[left], strategies[right] = x, y
+            actions[left], actions[right] = row_action, col_action
+            rewards[left], rewards[right] = reward, -reward
+        refresh = matching.pairs
 
         value_slack = pair_slack = None
         if policy is Policy.SELF_PLAY:
-            current_left = instance.left_outside.copy()
-            current_right = instance.right_outside.copy()
-            slacks = []
-            for i, j in matching.pairs:
-                x, y = left_play[i][j], right_play[j][i]
-                current_left[i] = float(x @ ucb_matrix(state, (i, j)) @ y)
-                current_right[j] = float(y @ ucb_matrix(state, (i, j), Side.RIGHT) @ x)
-                slacks += [left_value[i, j] - current_left[i], right_value[j, i] - current_right[j]]
-            value_slack = max(slacks, default=None)
-            pair_slack = max(
-                min(left_value[i, j] - current_left[i], right_value[j, i] - current_right[j])
-                for i in range(p)
-                for j in range(a)
+            left_slack = left_value - optimistic_left[:, None]
+            right_slack = right_value - optimistic_right[:, None]
+            value_slack = max(
+                (max(left_slack[i, j], right_slack[j, i]) for i, j in matching.pairs),
+                default=None,
             )
+            pair_slack = np.minimum(left_slack, right_slack.T).max()
 
         mi_report = matching_instability(
             instance, matching, strategies, game_values=true_values
         )
-
-        actions: dict = {}
-        rewards: dict = {}
-        for i, j in matching.pairs:
-            x, y = left_play[i][j], right_play[j][i]
-            row_action = int(streams.get(_LEFT_ACTION, i, j).choice(m, p=x))
-            col_action = int(streams.get(_RIGHT_ACTION, i, j).choice(k, p=y))
-            noise = float(streams.get(_REWARD, i, j).standard_normal())
-            reward = float(instance.games[i, j, row_action, col_action]) + noise_scale * noise
-            actions[AgentId.left(i)] = row_action
-            actions[AgentId.right(j)] = col_action
-            rewards[AgentId.left(i)] = reward
-            rewards[AgentId.right(j)] = -reward
-            state.update(i, j, row_action, col_action, reward)
-            dirty.add((i, j))
-
         records.append(
             StepRecord(
                 t=t,

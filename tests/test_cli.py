@@ -17,7 +17,7 @@ from matchgames.formats import (
     write_strategy_profile,
 )
 from matchgames.games import oracle_solve_game
-from matchgames.market import Matching, PreferenceProfile
+from matchgames.market import AgentId, Matching, PreferenceProfile
 
 
 @pytest.fixture
@@ -154,6 +154,23 @@ def test_audit_malformed_file_is_input_error(audit_files, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_audit_nan_strategy_is_input_error(audit_files, tmp_path, capsys):
+    instance_path, matching_path, _ = audit_files
+    profile = build_example_profile()
+    profile[AgentId.left(0)] = np.array([np.nan])
+    strategies_path = tmp_path / "nan_strategies.json"
+    write_strategy_profile(profile, strategies_path)
+    argv = [
+        "audit",
+        "--instance", instance_path,
+        "--matching", matching_path,
+        "--strategies", str(strategies_path),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_simulate_writes_traces(tmp_path, capsys):
     out = tmp_path / "results"
     argv = [
@@ -190,6 +207,22 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     config_path.write_text(json.dumps({"p": 1, "horizon": 9}))
     assert main(["simulate", "--config", str(config_path)]) == 2
     assert "horizon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("p", [2]), ("T", {}), ("outside_option", {}), ("noise_scale", [1.0]),
+     ("policy", ["self-play"]), ("delta", [0.1]), ("output_dir", ["out"]), ("workers", "two")],
+)
+def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    config = {"p": 1, "a": 1, "m": 1, "k": 1, "T": 2, "runs": 1, "workers": 1,
+              "output_dir": str(tmp_path / "out")}
+    config[key] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
 
 
 def test_simulate_requires_market_dimensions(capsys):

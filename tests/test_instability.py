@@ -297,6 +297,17 @@ def test_profile_validation():
             Matching(((0, 1),)),
             {AgentId.left(0): np.array([0.5, 0.5]), AgentId.right(1): np.array([1.0])},
         )
+    # right shapes, but not distributions: a negative entry, a NaN, a bad sum
+    instance = generate_instance(1, 1, 2, 2, seed=3)
+    for x, y in (([2.0, -1.0], [5.0, 5.0]), ([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [0.5, 0.6])):
+        with pytest.raises(InputError):
+            realized_utilities(
+                instance, Matching(((0, 0),)), {AgentId.left(0): x, AgentId.right(0): y}
+            )
+        with pytest.raises(InputError):
+            matching_instability(
+                instance, Matching(((0, 0),)), {AgentId.left(0): x, AgentId.right(0): y}
+            )
 
 
 def test_negative_tolerance_rejected():

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from conftest import build_example_market
 
@@ -13,9 +12,6 @@ from matchgames.learning import (
     ConfidenceState,
     Policy,
     auto_delta,
-    best_response_strategies,
-    lcb_matrix,
-    nash_response_strategies,
     run_episode,
     ucb_matrix,
 )
@@ -40,6 +36,8 @@ def test_confidence_state_update_and_width():
     assert state.means[0, 0, 0, 1] == pytest.approx(0.5, abs=1e-15)
     assert state.width(0, 0)[0, 1] == pytest.approx(WIDTH_ONE_VISIT / math.sqrt(2), abs=1e-12)
     assert state.width(0, 0)[0, 0] == pytest.approx(WIDTH_ONE_VISIT, abs=1e-12)
+    # with no pair given, the same radii for every pair at once
+    assert (state.width()[0, 0] == state.width(0, 0)).all()
 
 
 def test_right_view_is_negated_transpose():
@@ -49,12 +47,10 @@ def test_right_view_is_negated_transpose():
     width = state.width(0, 0)
     left_up = ucb_matrix(state, (0, 0))
     right_up = ucb_matrix(state, (0, 0), Side.RIGHT)
-    left_low = lcb_matrix(state, (0, 0))
     assert left_up.shape == (2, 3)
     assert right_up.shape == (3, 2)
     assert (left_up == state.means[0, 0] + width).all()
     assert (right_up == (-state.means[0, 0] + width).T).all()
-    assert (left_low == state.means[0, 0] - width).all()
 
 
 def test_first_round_matches_assortatively():
@@ -133,36 +129,28 @@ def test_zero_noise_learning_settles_on_stable_matching():
     assert max(record.mi for record in tail) < 0.2
 
 
-def test_nash_response_plan_holds_true_values():
+def test_nash_response_plays_exact_column_strategies():
     instance = generate_instance(2, 3, 2, 2, seed=10)
-    plan = nash_response_strategies(instance)
-    assert plan.values.shape == (3, 2)
-    for i in range(2):
-        for j in range(3):
-            sol = solve_game(instance.games[i, j])
-            assert plan.values[j, i] == pytest.approx(-sol.value, abs=1e-9)
-            # the stored column strategy caps the left player at the value
-            assert (
-                instance.games[i, j] @ plan.strategies[j][i] <= sol.value + 1e-9
-            ).all()
+    records = run_episode(instance, Policy.NASH_RESPONSE, 30, seed=10)
+    assert any(len(record.matching) for record in records)
+    for record in records:
+        for i, j in record.matching.pairs:
+            expected = solve_game(instance.games[i, j]).column_strategy
+            assert (record.strategies[AgentId.right(j)] == expected).all()
 
 
-def test_best_response_plan_exploits_left_strategies():
-    instance = generate_instance(2, 2, 3, 3, seed=11)
-    left = [[np.full(3, 1.0 / 3.0) for _ in range(2)] for _ in range(2)]
-    plan = best_response_strategies(instance, left)
-    for i in range(2):
-        for j in range(2):
-            response = plan.strategies[j][i]
-            assert response.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (response >= 0.0).all()
+def test_best_response_exploits_recorded_left_strategies():
+    instance = generate_instance(2, 2, 3, 3, generator=Generator.UNIFORM_SIGNED, seed=11)
+    records = run_episode(instance, Policy.BEST_RESPONSE, 30, seed=11)
+    assert any(len(record.matching) for record in records)
+    for record in records:
+        for i, j in record.matching.pairs:
+            x = record.strategies[AgentId.left(i)]
+            response = record.strategies[AgentId.right(j)]
+            # one-hot, and attains the best payoff against x in the right's view
+            assert sorted(response) == [0.0, 0.0, 1.0]
             game = instance.games[i, j]
-            achieved = -left[i][j] @ game @ response
-            best = max(-(left[i][j] @ game)[c] for c in range(3))
-            assert achieved == pytest.approx(best, abs=1e-12)
-            # exploiting a fixed opponent never pays less than the safe value
-            assert achieved >= -solve_game(game).value - 1e-9
-            assert plan.values[j, i] == pytest.approx(achieved, abs=1e-12)
+            assert -(x @ game @ response) == pytest.approx(max(-(x @ game)), abs=1e-12)
 
 
 def test_baseline_records_omit_self_play_diagnostics():

@@ -125,6 +125,29 @@ def test_deferred_acceptance_is_proposer_optimal():
                     ) - 1e-12
 
 
+def test_deferred_acceptance_is_equivariant_under_relabelling():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        p, a = (int(n) for n in rng.integers(1, 7, size=2))
+        # strict lists truncated at a random length, some of them empty
+        left = [tuple(rng.permutation(a)[: rng.integers(0, a + 1)]) for _ in range(p)]
+        right = [tuple(rng.permutation(p)[: rng.integers(0, p + 1)]) for _ in range(a)]
+        sigma, tau = rng.permutation(p), rng.permutation(a)
+        relabelled_left = [None] * p
+        for i, lst in enumerate(left):
+            relabelled_left[sigma[i]] = tuple(tau[j] for j in lst)
+        relabelled_right = [None] * a
+        for j, lst in enumerate(right):
+            relabelled_right[tau[j]] = tuple(sigma[i] for i in lst)
+        for side in Side:
+            matching = deferred_acceptance(PreferenceProfile(left, right), side)
+            relabelled = deferred_acceptance(
+                PreferenceProfile(relabelled_left, relabelled_right), side
+            )
+            expected = sorted((int(sigma[i]), int(tau[j])) for i, j in matching.pairs)
+            assert sorted(relabelled.pairs) == expected
+
+
 def test_matching_rejects_overlaps():
     with pytest.raises(InputError):
         Matching(((0, 0), (0, 1)))
