@@ -47,6 +47,12 @@ def _parse_delta(raw) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
+def _whole(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 def _load_config_file(path) -> dict:
     try:
         document = json.loads(Path(path).read_text())
@@ -74,23 +80,23 @@ def _cmd_simulate(args) -> int:
             raise InputError(f"setting {key!r} has a bad value {value!r}") from None
 
     for key in ("p", "a", "m", "k", "T"):
-        if setting(key, int) is None:
+        if setting(key, _whole) is None:
             raise InputError(f"missing required setting {key!r} (flag or config file)")
     config = ExperimentConfig(
-        p=setting("p", int),
-        a=setting("a", int),
-        m=setting("m", int),
-        k=setting("k", int),
-        T=setting("T", int),
-        runs=setting("runs", int, 50),
-        seeds_base=setting("seeds_base", int, 0),
+        p=setting("p", _whole),
+        a=setting("a", _whole),
+        m=setting("m", _whole),
+        k=setting("k", _whole),
+        T=setting("T", _whole),
+        runs=setting("runs", _whole, 50),
+        seeds_base=setting("seeds_base", _whole, 0),
         policy=setting("policy", Policy, Policy.SELF_PLAY.value),
         generator=setting("generator", Generator, Generator.GAUSSIAN_UNIT.value),
         outside_option=setting("outside_option", float, -1.0),
         delta=setting("delta", _parse_delta),
         noise_scale=setting("noise_scale", float, 1.0),
         output_dir=setting("output_dir", os.fspath),
-        workers=setting("workers", int),
+        workers=setting("workers", _whole),
     )
     trace = run_experiment(config)
     _print(

@@ -4,7 +4,7 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 (Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
-until no reduced cost is negative.
+until no reduced cost is negative. A 2x2 B gets its pivots in closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +20,42 @@ def solve_lp(B) -> tuple[np.ndarray, np.ndarray]:
     B is an m x k matrix with entries in [1, 3]. Bland's rule picks the
     lowest-index entering column and breaks minimum-ratio ties by the lowest
     basis index. The slack columns' reduced costs give u, which solves
-    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w.
+    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. A 2x2 B skips the
+    numpy tableau and returns its answer bit for bit, ties included.
     """
+    if B.shape == (2, 2):
+        (a, b), (c, d) = B.tolist()
+        # Unequal neighbours 1e-5 apart make the tableau's tolerance tests agree with exact
+        # comparisons; but if b == d, rounding of order 1e-15 / |a - c| breaks its ratio tie.
+        if (1.0 <= min(a, b, c, d) and max(a, b, c, d) <= 3.0
+                and all(gap == 0.0 or abs(gap) >= 1e-5 for gap in (a - b, c - d, a - c, b - d))
+                and (b != d or a == c or abs(a - c) >= 1e-2)):
+            return _solve_2x2(a, b, c, d)
+    return _tableau(B)
+
+
+def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """_tableau on B = [[a, b], [c, d]], with the pivots read off the entries.
+
+    Bland's rule enters w_1 at row `hi` = (p, q), the one with the larger
+    entry in column 1, then stops at a saddle point or goes on to the mixed
+    solution of von Neumann and Morgenstern. Repeating the tableau's
+    arithmetic keeps values equal in exact arithmetic (games' values at cells
+    sharing one confidence bound) in the order deferred acceptance reads.
+    """
+    hi, lo = (0, 1) if a >= c else (1, 0)
+    (p, q), (r, s) = ((a, b), (c, d)) if hi == 0 else ((c, d), (a, b))
+    tail = [] if q >= p else [(hi, 1)] if s <= q else [(lo, 1)] if s >= r else [(lo, 1), (hi, 2 + hi)]
+    T, basis = [[a, b, 1.0, 0.0, 1.0], [c, d, 0.0, 1.0, 1.0], [-1.0, -1.0, 0.0, 0.0, 0.0]], [2, 3]
+    for leave, enter in [(hi, 0), *tail]:
+        row = [x / T[leave][enter] for x in T[leave]]
+        T = [row if i == leave else [x - t[enter] * y for x, y in zip(t, row)] for i, t in enumerate(T)]
+        basis[leave] = enter
+    return np.array([T[basis.index(j)][4] if j in basis else 0.0 for j in (0, 1)]), np.array(T[2][2:4])
+
+
+def _tableau(B) -> tuple[np.ndarray, np.ndarray]:
+    """solve_lp by a dense numpy tableau from the origin basis."""
     m, k = B.shape
     T = np.zeros((m + 1, k + m + 1))
     T[:m, :k] = B

@@ -212,7 +212,10 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("p", [2]), ("T", {}), ("outside_option", {}), ("noise_scale", [1.0]),
-     ("policy", ["self-play"]), ("delta", [0.1]), ("output_dir", ["out"]), ("workers", "two")],
+     ("policy", ["self-play"]), ("delta", [0.1]), ("output_dir", ["out"]), ("workers", "two"),
+     # numbers that int() would truncate, and bools, which int() reads as 0 or 1
+     ("p", 1.5), ("a", True), ("m", 1.9), ("k", True), ("T", 2.5), ("runs", 1.5),
+     ("seeds_base", 0.5), ("workers", True), ("T", float("inf"))],
 )
 def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
     config = {"p": 1, "a": 1, "m": 1, "k": 1, "T": 2, "runs": 1, "workers": 1,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from matchgames import games
 from matchgames.errors import DimensionError, InputError
 from matchgames.games import (
     best_response,
@@ -146,6 +147,17 @@ def test_solve_game_deterministic():
     assert first.value == second.value
     assert (first.row_strategy == second.row_strategy).all()
     assert (first.column_strategy == second.column_strategy).all()
+
+
+def test_solve_game_calls_the_kernel_twice(monkeypatch):
+    # one solve_lp per maximin, on the closed-form 2x2 path and on the
+    # tableau path alike: the benchmark's traced counts depend on it
+    solve_lp, calls = games.solve_lp, []
+    monkeypatch.setattr(games, "solve_lp", lambda B: calls.append(B.shape) or solve_lp(B))
+    for game in ([[3.0, -1.0], [0.0, 2.0]], [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.5]]):
+        calls.clear()
+        solve_game(game)
+        assert calls == [np.shape(game)] * 2
 
 
 SCALES = (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12)

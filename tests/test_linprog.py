@@ -5,7 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from matchgames import linprog
+from matchgames.learning import ConfidenceState, auto_delta, ucb_matrix
 from matchgames.linprog import solve_lp
+from matchgames.market import Side
 
 TOL = 1e-9
 
@@ -105,3 +108,96 @@ def test_solver_is_deterministic():
     second = solve_lp(B)
     assert (first[0] == second[0]).all()
     assert (first[1] == second[1]).all()
+
+
+def assert_closed_form_matches_tableau(matrices, monkeypatch) -> int:
+    """solve_lp returns the tableau's (w, u) bit for bit on every 2x2 in matrices.
+
+    Returns how many of them solve_lp handed to the tableau."""
+    tableau, handed = linprog._tableau, []
+    monkeypatch.setattr(linprog, "_tableau", lambda B: handed.append(B) or tableau(B))
+    for B in matrices:
+        got, expected = solve_lp(B), tableau(B)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], (B, got, expected)
+    return len(handed)
+
+
+def as_packing_lps(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the two LPs solve_game sets up for A
+    scale = float(np.abs(A).max()) or 1.0
+    return A / scale + 2.0, -A.T / scale + 2.0
+
+
+def set_partitions(cells):
+    if not cells:
+        yield []
+        return
+    first, rest = cells[0], cells[1:]
+    for partition in set_partitions(rest):
+        yield [[first], *partition]
+        for index, block in enumerate(partition):
+            yield [*partition[:index], [first, *block], *partition[index + 1:]]
+
+
+def test_closed_form_matches_tableau_on_integer_games(monkeypatch):
+    matrices = [B for cells in itertools.product(range(-2, 3), repeat=4)
+                for B in as_packing_lps(np.array(cells, dtype=float).reshape(2, 2))]
+    assert len(matrices) == 1250
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) == 0
+
+
+def test_closed_form_matches_tableau_on_random_matrices(monkeypatch):
+    matrices = np.random.default_rng(41).uniform(1.0, 3.0, size=(20000, 2, 2))
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 200
+
+
+def test_closed_form_matches_tableau_on_every_tie_pattern(monkeypatch):
+    rng = np.random.default_rng(42)
+    partitions = list(set_partitions(list(range(4))))
+    assert len(partitions) == 15
+    matrices = []
+    for partition in partitions:
+        for _ in range(200):
+            cells = np.empty(4)
+            for block, value in zip(partition, rng.uniform(1.0, 3.0, size=len(partition))):
+                cells[block] = value
+            matrices.append(cells.reshape(2, 2))
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 30
+
+
+def test_closed_form_matches_tableau_on_ucb_matrices(monkeypatch):
+    # unvisited cells share one confidence width and a zero mean, so early
+    # optimistic matrices have several equal cells
+    rng = np.random.default_rng(43)
+    state = ConfidenceState.fresh(1, 1, 2, 2, delta=auto_delta(100, 2, 2, 2, 2))
+    matrices = []
+    for index in range(1000):
+        state.counts[0, 0] = rng.integers(0, 4, size=(2, 2)) * rng.integers(0, 2, size=(2, 2))
+        if index % 2:
+            means = rng.integers(-1, 2, size=(2, 2)).astype(float)
+        else:
+            means = rng.normal(size=(2, 2))
+        state.means[0, 0] = np.where(state.counts[0, 0] > 0, means, 0.0)
+        for side in Side:
+            matrices.append(as_packing_lps(ucb_matrix(state, (0, 0), side))[0])
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 20
+
+
+def test_near_ties_match_tableau(monkeypatch):
+    # A constant column with the other column's entries a hair apart makes
+    # the tableau's tie-break depend on rounding; unequal neighbours closer
+    # than 1e-5 make its tolerance tests disagree with exact comparisons.
+    # Both go to the tableau. Just outside those bands the closed form holds.
+    rng = np.random.default_rng(44)
+    matrices = []
+    for gap in (*10.0 ** -np.arange(3, 13), *rng.uniform(1e-2, 2e-2, size=10)):
+        for _ in range(20):
+            c, b = rng.uniform(1.0, 2.98, size=2)
+            B = np.array([[c + gap, b], [c, b]])
+            matrices += [B, B[::-1].copy(), B[:, ::-1].copy(), B[::-1, ::-1].copy()]
+    for gap in (*10.0 ** -np.arange(6, 13), *rng.uniform(1e-5, 1e-4, size=10)):
+        for _ in range(20):
+            B = rng.uniform(1.0, 2.9, size=(2, 2))
+            B[1, 0] = B[0, 0] + gap
+            matrices += [B, B.T.copy()]
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) >= 500
