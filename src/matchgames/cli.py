@@ -43,8 +43,14 @@ def _print(record: dict) -> None:
     print(json.dumps(record, indent=2))
 
 
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _parse_delta(raw) -> float | None:
-    return None if raw == "auto" else float(raw)
+    return None if raw == "auto" else _real(raw)
 
 
 def _whole(value) -> int:
@@ -92,9 +98,9 @@ def _cmd_simulate(args) -> int:
         seeds_base=setting("seeds_base", _whole, 0),
         policy=setting("policy", Policy, Policy.SELF_PLAY.value),
         generator=setting("generator", Generator, Generator.GAUSSIAN_UNIT.value),
-        outside_option=setting("outside_option", float, -1.0),
+        outside_option=setting("outside_option", _real, -1.0),
         delta=setting("delta", _parse_delta),
-        noise_scale=setting("noise_scale", float, 1.0),
+        noise_scale=setting("noise_scale", _real, 1.0),
         output_dir=setting("output_dir", os.fspath),
         workers=setting("workers", _whole),
     )

@@ -6,15 +6,17 @@ families of constraints: no agent is worse off than its outside option
 (value rationality, strategy-aware metric only), and no cross pair can
 jointly deviate (blocking cover). Subsidies are nonnegative.
 
-The exact solver works on per-agent lower bounds (floors), then covers the
-cross pairs whose constraints bind. Each such pair needs its left or its
-right member raised to its gap; with every agent's subsidy written as
-threshold indicators over its candidate levels, the cheapest cover is a
-minimum-weight closure (Picard 1976), found by one s-t minimum cut in
-polynomial time. Among optimal covers the solver returns the one that
-raises left agents least, so the result does not depend on the order of
-the pairs or on agent labels. oracle_mi is an independent brute-force
-route over candidate subsidy grids and must not share the cover machinery.
+The exact solver works on arrays, with left agent i numbered i and right
+agent j numbered p + j; AgentIds are built only for the report. It takes
+per-agent lower bounds (floors), then covers the cross pairs whose
+constraints bind. Each such pair needs its left or its right member raised
+to its gap; with every agent's subsidy written as threshold indicators
+over its candidate levels, the cheapest cover is a minimum-weight closure
+(Picard 1976), found by one s-t minimum cut in polynomial time. Among
+optimal covers the solver returns the one that raises left agents least,
+so the result does not depend on the order of the pairs or on agent
+labels. oracle_mi is an independent brute-force route over candidate
+subsidy grids and must not share the cover machinery.
 """
 
 from __future__ import annotations
@@ -69,21 +71,13 @@ class InstabilityReport:
         }
 
 
-def realized_utilities(
+def _realized(
     instance: MarketInstance, matching: Matching, strategies: dict
-) -> dict:
-    """Expected payoff of every agent under the matching and strategy profile.
-
-    Matched agents get the bilinear payoff of their pair's game; unmatched
-    agents sit at their outside option. The profile must contain exactly the
-    matched agents, each with a mixed strategy over its side's actions.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right realized utilities as arrays; see realized_utilities."""
     matching.validate_for(instance.p, instance.a)
-    expected = {
-        agent
-        for i, j in matching.pairs
-        for agent in (AgentId.left(i), AgentId.right(j))
-    }
+    ids = [(AgentId.left(i), AgentId.right(j)) for i, j in matching.pairs]
+    expected = {agent for pair in ids for agent in pair}
     if set(strategies) != expected:
         missing = sorted(expected - set(strategies))
         extra = sorted(set(strategies) - expected)
@@ -91,45 +85,49 @@ def realized_utilities(
             f"strategy profile must cover matched agents exactly "
             f"(missing {[str(x) for x in missing]}, extra {[str(x) for x in extra]})"
         )
-    out: dict = {}
-    for i, j in matching.pairs:
+    left = instance.left_outside.copy()
+    right = instance.right_outside.copy()
+    for (i, j), (left_id, right_id) in zip(matching.pairs, ids):
         try:
-            x = check_strategy(strategies[AgentId.left(i)], instance.m)
-            y = check_strategy(strategies[AgentId.right(j)], instance.k)
+            x = check_strategy(strategies[left_id], instance.m)
+            y = check_strategy(strategies[right_id], instance.k)
         except InputError as exc:
             raise type(exc)(f"pair {(i, j)}: {exc}") from exc
-        payoff = float(x @ instance.games[i, j] @ y)
-        out[AgentId.left(i)] = payoff
-        out[AgentId.right(j)] = -payoff
-    for i in range(instance.p):
-        out.setdefault(AgentId.left(i), float(instance.left_outside[i]))
-    for j in range(instance.a):
-        out.setdefault(AgentId.right(j), float(instance.right_outside[j]))
-    return out
+        left[i] = x @ instance.games[i, j] @ y
+        right[j] = -left[i]
+    return left, right
 
 
-def _solve_cover(
-    floors: dict,
-    pairs: list,
-    tol: float,
-) -> dict:
+def realized_utilities(instance: MarketInstance, matching: Matching, strategies: dict) -> dict:
+    """Expected payoff of every agent under the matching and strategy profile.
+
+    Matched agents get the bilinear payoff of their pair's game; unmatched
+    agents sit at their outside option. The profile must contain exactly the
+    matched agents, each with a mixed strategy over its side's actions.
+    """
+    left, right = _realized(instance, matching, strategies)
+    return dict(zip(instance.agents(), left.tolist() + right.tolist()))
+
+
+def _solve_cover(floors: list, pairs: list, tol: float) -> list:
     """Minimize total subsidy over the active pairs' covers by one min cut.
 
-    pairs entries are (left agent, right agent, left gap, right gap); each
-    pair needs one member raised to within tol of its gap. An agent's
-    candidate levels are its floor and its gaps. Each level above the floor
-    is a node: for a left agent it means [s >= level] and pays its step on
-    an edge to the sink, for a right agent it means [s < level] and pays its
-    step on an edge from the source; infinite chain edges keep both ladders
-    monotone. A pair forbids leaving both members below their covering
-    levels (the lowest level >= gap - tol) with one infinite edge from the
-    right member's node to the left member's. Dinic's algorithm finds a
-    maximum flow, and the nodes still reachable from the source, the
-    smallest minimum cut's source side, give the subsidies: among optimal
-    covers, the one that raises left agents least, whatever the order of
-    the pairs or the agents' labels.
+    Agents are integers indexing floors (left agent i is i and right agent
+    j is p + j), and the returned subsidies are indexed alike. pairs entries
+    are (left agent, right agent, left gap, right gap); each pair needs one
+    member raised to within tol of its gap. An agent's candidate levels are
+    its floor and its gaps. Each level above the floor is a node: for a left
+    agent it means [s >= level] and pays its step on an edge to the sink,
+    for a right agent it means [s < level] and pays its step on an edge from
+    the source; infinite chain edges keep both ladders monotone. A pair
+    forbids leaving both members below their covering levels (the lowest
+    level >= gap - tol) with one infinite edge from the right member's node
+    to the left member's. Dinic's algorithm finds a maximum flow, and the
+    nodes still reachable from the source, the smallest minimum cut's source
+    side, give the subsidies: among optimal covers, the one that raises left
+    agents least, whatever the order of the pairs or the agents' labels.
     """
-    subsidies = dict(floors)
+    subsidies = list(floors)
     if not pairs:
         return subsidies
     left_gaps: dict = {}
@@ -238,72 +236,59 @@ def _solve_cover(
     return subsidies
 
 
-def _floor(c2: float, c3: float | None, tol: float) -> tuple[float, str]:
-    """Per-agent lower bound from participation and value-rationality terms.
-
-    Terms within tol of zero are treated as satisfied so that exact
-    equilibria report exactly zero.
-    """
-    candidates = [(0.0, TAG_NONE)]
-    if c2 > tol:
-        candidates.append((c2, TAG_PARTICIPATION))
-    if c3 is not None and c3 > tol:
-        candidates.append((c3, TAG_VALUE_GAP))
-    return max(candidates, key=lambda pair: pair[0])
-
-
 def _audit(
     left_gain: np.ndarray,
     right_gain: np.ndarray,
     matching: Matching,
-    current: dict,
-    outside,
+    current: tuple,
+    outside: tuple,
     tol: float,
 ) -> InstabilityReport:
     """Per-agent floors, then the cheapest cover of the active cross pairs.
 
     left_gain[i, j] is what left agent i gets with right agent j and
-    right_gain[j, i] the mirror; current[agent] and outside(agent) give an
-    agent's current utility and outside option. A matched agent's value-gap
-    term compares its own pair's gain with its current utility, so it is
-    zero when that utility is read from the gain tables themselves. tol
-    must be nonnegative: the cover's covering levels assume gap - tol never
-    exceeds the gap.
+    right_gain[j, i] the mirror; current and outside are (left, right)
+    pairs of arrays holding each agent's current utility and outside
+    option. A floor is the larger of the participation term and the
+    value-gap term, each taken as zero within tol so that exact equilibria
+    report exactly zero; a tie is tagged as participation. A matched
+    agent's value-gap term compares its own pair's gain with its current
+    utility, so it is zero when that utility is read from the gain tables
+    themselves. tol must be nonnegative: the cover's covering levels assume
+    gap - tol never exceeds the gap.
     """
     if not tol >= 0.0:
         raise InputError(f"tol must be a nonnegative number, got {tol!r}")
     p, a = left_gain.shape
-    floors: dict = {}
-    tags: dict = {}
-    for agent in [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]:
-        partner = matching.partner_of(agent)
-        gain = left_gain if agent.side is Side.LEFT else right_gain
-        c3 = None if partner is None else float(gain[agent.index, partner]) - current[agent]
-        floors[agent], tags[agent] = _floor(outside(agent) - current[agent], c3, tol)
-    active = []
-    for i in range(p):
-        for j in range(a):
-            if matching.right_partner_of(i) == j:
-                continue  # covered by the pair's own value-gap terms
-            left, right = AgentId.left(i), AgentId.right(j)
-            gap_left = float(left_gain[i, j]) - current[left]
-            gap_right = float(right_gain[j, i]) - current[right]
-            if gap_left > floors[left] + tol and gap_right > floors[right] + tol:
-                active.append((left, right, gap_left, gap_right))
-    final = _solve_cover(floors, active, tol)
-    binding = {}
-    for agent, amount in final.items():
-        if amount <= 0.0:
-            binding[agent] = TAG_NONE
-        elif amount > floors[agent]:
-            binding[agent] = TAG_COVER
-        else:
-            binding[agent] = tags[agent]
-    subsidies = SubsidyVector.of(final)
+    rows, cols = np.array(matching.pairs, dtype=int).reshape(-1, 2).T
+    gap_left = left_gain - current[0][:, None]
+    gap_right = right_gain.T - current[1]
+    participation = np.concatenate(outside) - np.concatenate(current)
+    value_gap = np.zeros(p + a)
+    value_gap[rows] = gap_left[rows, cols]
+    value_gap[p + cols] = gap_right[rows, cols]
+    participation[participation <= tol] = 0.0
+    value_gap[value_gap <= tol] = 0.0
+    floors = np.maximum(participation, value_gap)
+
+    bar = floors + tol
+    active = (gap_left > bar[:p, None]) & (gap_right > bar[p:])
+    active[rows, cols] = False  # covered by the pair's own value-gap terms
+    left_active, right_active = np.nonzero(active)
+    columns = (left_active, p + right_active, gap_left[active], gap_right[active])
+    final = _solve_cover(floors.tolist(), list(zip(*(c.tolist() for c in columns))), tol)
+    agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
+    terms = zip(agents, final, floors.tolist(), (participation >= value_gap).tolist())
+    binding = {
+        agent: TAG_NONE if amount <= 0.0 else TAG_COVER if amount > floor
+        else TAG_PARTICIPATION if participation_wins else TAG_VALUE_GAP
+        for agent, amount, floor, participation_wins in terms
+    }
+    subsidies = SubsidyVector.of(dict(zip(agents, final)))
     return InstabilityReport(
         value=subsidies.total,
         subsidies=subsidies,
-        active_pairs=tuple((left.index, right.index) for left, right, _, _ in active),
+        active_pairs=tuple(zip(left_active.tolist(), right_active.tolist())),
         binding=binding,
     )
 
@@ -320,24 +305,22 @@ def matching_instability(
 
     Cross-pair deviations are valued at the pair game's minimax value, so an
     agent's temptation toward a partner ignores what the partner would lose.
-    game_values may carry precomputed left-view values (shape p x a) so
-    repeated audits of one instance can skip re-solving the games.
+    game_values may carry precomputed left-view values (shape p x a, all
+    finite) so repeated audits of one instance can skip re-solving the games.
     """
     if game_values is None:
-        values = np.array(
-            [
-                [game_value(instance.games[i, j]) for j in range(instance.a)]
-                for i in range(instance.p)
-            ]
-        )
+        values = np.array([[game_value(game) for game in row] for row in instance.games])
     else:
         values = np.asarray(game_values, dtype=float)
         if values.shape != (instance.p, instance.a):
             raise DimensionError(
                 f"game_values shape {values.shape} does not match ({instance.p}, {instance.a})"
             )
-    realized = realized_utilities(instance, matching, strategies)
-    return _audit(values, -values.T, matching, realized, instance.outside_option, tol)
+        if not np.isfinite(values).all():
+            raise InputError("game_values contains non-finite entries")
+    realized = _realized(instance, matching, strategies)
+    outside = (instance.left_outside, instance.right_outside)
+    return _audit(values, -values.T, matching, realized, outside, tol)
 
 
 def subset_instability(
@@ -350,9 +333,12 @@ def subset_instability(
     """
     p, a = utilities.left.shape
     matching.validate_for(p, a)
-    agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
-    current = {agent: utilities.current(agent, matching) for agent in agents}
-    return _audit(utilities.left, utilities.right, matching, current, utilities.outside, tol)
+    left = utilities.left_outside.copy()
+    right = utilities.right_outside.copy()
+    for i, j in matching.pairs:
+        left[i], right[j] = utilities.left[i, j], utilities.right[j, i]
+    outside = (utilities.left_outside, utilities.right_outside)
+    return _audit(utilities.left, utilities.right, matching, (left, right), outside, tol)
 
 
 def single_pair_deviation(instance: MarketInstance, strategies: dict) -> float:

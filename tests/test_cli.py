@@ -215,7 +215,9 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
      ("policy", ["self-play"]), ("delta", [0.1]), ("output_dir", ["out"]), ("workers", "two"),
      # numbers that int() would truncate, and bools, which int() reads as 0 or 1
      ("p", 1.5), ("a", True), ("m", 1.9), ("k", True), ("T", 2.5), ("runs", 1.5),
-     ("seeds_base", 0.5), ("workers", True), ("T", float("inf"))],
+     ("seeds_base", 0.5), ("workers", True), ("T", float("inf")),
+     # bools, which float() reads as 0.0 or 1.0
+     ("outside_option", True), ("noise_scale", False), ("delta", True), ("delta", False)],
 )
 def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
     config = {"p": 1, "a": 1, "m": 1, "k": 1, "T": 2, "runs": 1, "workers": 1,

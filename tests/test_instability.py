@@ -33,7 +33,7 @@ from matchgames.market import (
 )
 
 
-def pennies_market() -> MarketInstance:
+def pennies_market(right_outside: float = -2.0) -> MarketInstance:
     return MarketInstance(
         p=1,
         a=1,
@@ -41,7 +41,7 @@ def pennies_market() -> MarketInstance:
         k=2,
         games=np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(1, 1, 2, 2),
         left_outside=(-2.0,),
-        right_outside=(-2.0,),
+        right_outside=(right_outside,),
     )
 
 TAGS = {TAG_NONE, TAG_PARTICIPATION, TAG_VALUE_GAP, TAG_COVER}
@@ -149,6 +149,53 @@ def test_value_rationality_floor_and_tag():
     assert report.binding[AgentId.right(0)] == TAG_VALUE_GAP
     assert report.binding[AgentId.left(0)] == TAG_NONE
     assert single_pair_deviation(instance, profile) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_binding_tag_is_the_larger_floor_term_with_ties_to_participation():
+    # matching pennies at the pure (0, 0) cell with the game value pinned at
+    # 0: the right agent realizes -1, a value gap of 1, and its outside
+    # option sets the participation term beside it
+    profile = {AgentId.left(0): np.array([1.0, 0.0]), AgentId.right(0): np.array([1.0, 0.0])}
+    for right_outside, amount, tag in (
+        (0.0, 1.0, TAG_PARTICIPATION),  # both terms are 1
+        (-0.5, 1.0, TAG_VALUE_GAP),  # participation 0.5, value gap 1
+        (0.5, 1.5, TAG_PARTICIPATION),  # participation 1.5, value gap 1
+    ):
+        report = matching_instability(
+            pennies_market(right_outside), Matching(((0, 0),)), profile, game_values=np.zeros((1, 1))
+        )
+        assert report.subsidies.amounts == {AgentId.left(0): 0.0, AgentId.right(0): amount}
+        assert report.binding == {AgentId.left(0): TAG_NONE, AgentId.right(0): tag}
+
+
+def test_cover_tag_wins_over_the_floor_it_raises():
+    # R0 sits 0.1 below its outside option (floor 0.1, participation), and
+    # the blocking pair (L1, R0) is covered more cheaply by raising R0 to its
+    # gap of 0.3 than by raising L1 to 0.8
+    utilities = UtilityTable(
+        np.array([[1.0], [0.8]]),
+        np.array([[0.0, 0.3]]),
+        (0.0, 0.0),
+        (0.1,),
+    )
+    report = subset_instability(utilities, Matching(((0, 0),)))
+    assert report.subsidies.amounts[AgentId.right(0)] == 0.3
+    assert report.value == pytest.approx(0.3, abs=1e-12)
+    assert report.binding == {
+        AgentId.left(0): TAG_NONE, AgentId.left(1): TAG_NONE, AgentId.right(0): TAG_COVER,
+    }
+
+
+def test_non_finite_game_values_rejected():
+    instance = generate_instance(2, 2, 2, 2, seed=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((2, 2))
+        values[0, 1] = bad
+        with pytest.raises(InputError):
+            matching_instability(instance, Matching(((0, 0),)), {
+                AgentId.left(0): np.array([0.5, 0.5]),
+                AgentId.right(0): np.array([0.5, 0.5]),
+            }, game_values=values)
 
 
 def test_near_equilibrium_clamps_to_exact_zero():
@@ -372,10 +419,6 @@ def brute_force_cover(left_gain, right_gain, pairs, current, outside, tol):
 def test_cover_matches_level_brute_force():
     rng = np.random.default_rng(36)
     tol = 1e-9
-
-    def value_of(agent, table):
-        return float(table[0 if agent.side is Side.LEFT else 1][agent.index])
-
     for case in range(200):
         p, a = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         if case % 2 == 0:  # integer-valued, with many tied covers
@@ -394,13 +437,7 @@ def test_cover_matches_level_brute_force():
             rng.choice(a, size=size, replace=False).tolist(),
         ))
         matching = Matching(pairs)
-        report = _audit(
-            left_gain, right_gain, matching,
-            {agent: value_of(agent, current)
-             for agent in [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]},
-            lambda agent: value_of(agent, outside),
-            tol,
-        )
+        report = _audit(left_gain, right_gain, matching, current, outside, tol)
         expected = brute_force_cover(left_gain, right_gain, pairs, current, outside, tol)
         assert report.value == pytest.approx(expected, abs=1e-9)
 
