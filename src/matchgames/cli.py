@@ -27,6 +27,7 @@ from .experiments import (
 from .formats import (
     FORMAT_VERSION,
     MATCHING_FORMAT,
+    _whole,
     read_preferences,
     write_instance,
     write_matching,
@@ -51,12 +52,6 @@ def _real(value) -> float:
 
 def _parse_delta(raw) -> float | None:
     return None if raw == "auto" else _real(raw)
-
-
-def _whole(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
 
 
 def _load_config_file(path) -> dict:

@@ -54,6 +54,22 @@ def _field(document: dict, path, name: str):
     return document[name]
 
 
+def _whole(value) -> int:
+    """value as an int; a bool or a number with a fractional part is refused
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def _whole_field(document: dict, path, name: str) -> int:
+    value = _field(document, path, name)
+    try:
+        return _whole(value)
+    except (TypeError, ValueError):
+        raise FormatError(f"{path}: field {name!r} must be a whole number, got {value!r}") from None
+
+
 def write_instance(instance: MarketInstance, path) -> None:
     _dump(
         {
@@ -89,10 +105,10 @@ def read_instance(path) -> MarketInstance:
             raise FormatError(f"{path}: unknown generator {generator_name!r}") from None
     try:
         return MarketInstance(
-            p=int(_field(document, path, "p")),
-            a=int(_field(document, path, "a")),
-            m=int(_field(document, path, "m")),
-            k=int(_field(document, path, "k")),
+            p=_whole_field(document, path, "p"),
+            a=_whole_field(document, path, "a"),
+            m=_whole_field(document, path, "m"),
+            k=_whole_field(document, path, "k"),
             games=np.asarray(_field(document, path, "games"), dtype=float),
             left_outside=np.asarray(_field(outside, path, "left"), dtype=float),
             right_outside=np.asarray(_field(outside, path, "right"), dtype=float),
@@ -120,7 +136,7 @@ def read_matching(path) -> Matching:
     document = _load(path, MATCHING_FORMAT)
     pairs = _field(document, path, "pairs")
     try:
-        return Matching(tuple((int(i), int(j)) for i, j in pairs))
+        return Matching(tuple((_whole(i), _whole(j)) for i, j in pairs))
     except (InputError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad 'pairs' entry: {exc}") from exc
 
@@ -156,7 +172,11 @@ def read_strategy_profile(path) -> dict:
             raise FormatError(f"{path}: field {side_name!r} must be an object")
         for key, vec in table.items():
             try:
-                agent = make(int(key))
+                index = int(key)
+                if str(index) != key:
+                    # "01", "+1" or " 1" would alias (and overwrite) agent 1
+                    raise ValueError("the key must be a plain decimal index")
+                agent = make(index)
                 out[agent] = np.asarray(vec, dtype=float)
             except (InputError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad strategy for {side_name} agent {key!r}: {exc}") from exc
@@ -181,13 +201,18 @@ def write_preferences(prefs: PreferenceProfile, path) -> None:
 
 def read_preferences(path) -> PreferenceProfile:
     document = _load(path, PREFERENCES_FORMAT)
-    left = _field(document, path, "left")
-    right = _field(document, path, "right")
+    lists = {}
+    for name in ("left", "right"):
+        raw = _field(document, path, name)
+        try:
+            lists[name] = tuple(tuple(_whole(index) for index in lst) for lst in raw)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: field {name!r}: bad preference lists: {exc}") from exc
     try:
         # PreferenceProfile fills missing thresholds with zeros
         return PreferenceProfile(
-            left=tuple(tuple(int(j) for j in lst) for lst in left),
-            right=tuple(tuple(int(i) for i in lst) for lst in right),
+            left=lists["left"],
+            right=lists["right"],
             left_threshold=tuple(float(v) for v in document.get("left_threshold") or ()),
             right_threshold=tuple(float(v) for v in document.get("right_threshold") or ()),
         )

@@ -11,6 +11,7 @@ checker kept for cross-validation and must stay free of the LP machinery.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,12 @@ def check_strategy(strategy, n_actions: int) -> np.ndarray:
     x = np.asarray(strategy, dtype=float)
     if x.shape != (n_actions,):
         raise DimensionError(f"strategy has shape {x.shape}, expected ({n_actions},)")
-    if not np.isfinite(x).all() or (x < -_STRATEGY_SUM_TOL).any():
+    # on Python floats, which is much cheaper than numpy calls on tiny arrays;
+    # the chained comparison is false for NaN, -inf and +inf alike
+    values = x.tolist()
+    if not all(-_STRATEGY_SUM_TOL <= v < math.inf for v in values):
         raise InputError("strategy entries must be finite and nonnegative")
-    if abs(float(x.sum()) - 1.0) > _STRATEGY_SUM_TOL:
+    if abs(sum(values) - 1.0) > _STRATEGY_SUM_TOL:
         raise InputError(f"strategy entries sum to {x.sum()!r}, not 1")
     return x
 

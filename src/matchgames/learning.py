@@ -10,10 +10,17 @@ strategies: SELF_PLAY refreshes it from the right side's own optimistic
 maximin, NASH_RESPONSE fills it once from the exact game solutions, and
 BEST_RESPONSE refreshes it with pure best responses to the left side's
 current optimistic strategies.
+
+Each matched agent draws its action from a per-pair random stream by
+numpy's Generator.choice rule on Python floats: cumulative sums of the
+checked strategy, each divided by the last, searched on the right for one
+uniform. The draws, and so the traces, are those of choice(n, p=x).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InputError
-from .games import best_response, maximin, solve_game
+from .games import best_response, check_strategy, maximin, solve_game
 from .instability import matching_instability
 from .market import (
     AgentId,
@@ -123,6 +130,14 @@ class StepRecord:
 _LEFT_ACTION, _RIGHT_ACTION, _REWARD = 0, 1, 2
 
 
+def _draw(rng: np.random.Generator, x: np.ndarray) -> int:
+    """The action rng.choice(len(x), p=x) draws from checked strategy x,
+    consuming the same single uniform; see the module docstring."""
+    cdf = list(itertools.accumulate(x.tolist()))
+    total = cdf[-1]
+    return bisect.bisect_right([c / total for c in cdf], rng.random())
+
+
 def run_episode(
     instance: MarketInstance,
     policy: Policy,
@@ -216,8 +231,8 @@ def run_episode(
             width_bound += 4.0 * mass
             optimistic_left[i], optimistic_right[j] = mean + mass, mass - mean
 
-            row_action = int(stream(_LEFT_ACTION, i, j).choice(m, p=x))
-            col_action = int(stream(_RIGHT_ACTION, i, j).choice(k, p=y))
+            row_action = _draw(stream(_LEFT_ACTION, i, j), check_strategy(x, m))
+            col_action = _draw(stream(_RIGHT_ACTION, i, j), check_strategy(y, k))
             noise = float(stream(_REWARD, i, j).standard_normal())
             reward = float(instance.games[i, j, row_action, col_action]) + noise_scale * noise
             state.update(i, j, row_action, col_action, reward)

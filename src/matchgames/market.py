@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,11 +36,16 @@ class AgentId:
         if self.index < 0:
             raise InputError(f"agent index must be nonnegative, got {self.index}")
 
+    # Ids are frozen and compare by value, so one shared instance per index
+    # serves every caller; typed keys keep 1, 1.0 and True apart, and the
+    # bound keeps memory flat whatever indices callers pass.
     @classmethod
+    @lru_cache(maxsize=1024, typed=True)
     def left(cls, index: int) -> AgentId:
         return cls(Side.LEFT, index)
 
     @classmethod
+    @lru_cache(maxsize=1024, typed=True)
     def right(cls, index: int) -> AgentId:
         return cls(Side.RIGHT, index)
 
@@ -237,15 +243,21 @@ def preferences_from_values(
     """
     table = UtilityTable(left_values, right_values, left_outside, right_outside)
 
-    def truncated(values: np.ndarray, threshold: float) -> tuple[int, ...]:
-        order = np.argsort(-values, kind="stable")
-        return tuple(int(j) for j in order if values[j] >= threshold)
+    def lists(values: np.ndarray, thresholds: np.ndarray) -> tuple:
+        # on Python floats; sorted() stays stable under reverse=True, so ties
+        # keep the lower index
+        partners = range(values.shape[1])
+        return tuple(
+            tuple(j for j in sorted(partners, key=row.__getitem__, reverse=True) if row[j] >= cut)
+            for row, cut in zip(values.tolist(), thresholds.tolist())
+        )
 
-    left = tuple(truncated(table.left[i], table.left_outside[i]) for i in range(table.left.shape[0]))
-    right = tuple(
-        truncated(table.right[j], table.right_outside[j]) for j in range(table.right.shape[0])
+    return PreferenceProfile(
+        lists(table.left, table.left_outside),
+        lists(table.right, table.right_outside),
+        tuple(table.left_outside.tolist()),
+        tuple(table.right_outside.tolist()),
     )
-    return PreferenceProfile(left, right, tuple(table.left_outside), tuple(table.right_outside))
 
 
 def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LEFT) -> Matching:

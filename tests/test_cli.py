@@ -114,6 +114,40 @@ def test_match_non_list_preferences_is_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "bad preference lists" in err
 
 
+def test_match_fractional_preference_index_is_input_error(tmp_path, capsys):
+    prefs_path = tmp_path / "prefs.json"
+    prefs_path.write_text('{"format": "preferences", "version": 1, "left": [[0.7]], "right": [[0]]}')
+    assert main(["match", "--preferences", str(prefs_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'left'" in captured.err and "0.7" in captured.err
+
+
+@pytest.mark.parametrize(
+    ("document", "field"),
+    [
+        ("instance", "'p'"),
+        ("matching", "'pairs'"),
+        ("strategies", "'01'"),
+    ],
+)
+def test_audit_truncating_integer_is_input_error(audit_files, tmp_path, capsys, document, field):
+    paths = dict(zip(("instance", "matching", "strategies"), audit_files))
+    record = json.loads(open(paths[document]).read())
+    if document == "instance":
+        record["p"] = 2.5
+    elif document == "matching":
+        record["pairs"] = [[0.9, 0], [1, 1]]
+    else:
+        record["left"]["01"] = record["left"]["1"]
+    paths[document] = str(tmp_path / f"bad_{document}.json")
+    with open(paths[document], "w") as handle:
+        json.dump(record, handle)
+    argv = ["audit", *(f"--{name}={path}" for name, path in paths.items())]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+
+
 def test_audit_reports_instability(audit_files, capsys):
     instance_path, matching_path, strategies_path = audit_files
     argv = [

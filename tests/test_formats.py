@@ -1,6 +1,7 @@
 """JSON document codecs: lossless round trips and located error messages."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,3 +191,55 @@ def test_report_document_shape(tmp_path):
     document = json.loads(path.read_text())
     assert document["format"] == "instability-report"
     assert path.read_text().endswith("\n")
+
+
+def _document(tmp_path, name: str, document: dict):
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return path
+
+
+@pytest.mark.parametrize("pairs", [[[0.9, 1]], [[0, 1.5]], [[True, 0]], [[1, False]]])
+def test_matching_index_must_be_whole(tmp_path, pairs):
+    path = _document(tmp_path, "matching.json", {"format": "matching", "version": 1, "pairs": pairs})
+    with pytest.raises(FormatError, match="'pairs'.*not a whole number"):
+        read_matching(path)
+
+
+def test_matching_integral_float_index_is_read(tmp_path):
+    document = {"format": "matching", "version": 1, "pairs": [[1.0, 0.0]]}
+    assert read_matching(_document(tmp_path, "matching.json", document)).pairs == ((1, 0),)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("entry", [0.7, False])
+def test_preference_index_must_be_whole(tmp_path, side, entry):
+    document = {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]]}
+    document[side] = [[entry]]
+    path = _document(tmp_path, "prefs.json", document)
+    with pytest.raises(FormatError, match=f"'{side}'.*not a whole number"):
+        read_preferences(path)
+
+
+@pytest.mark.parametrize(("field", "value"), [("p", 1.9), ("a", True), ("m", "x"), ("k", None)])
+def test_instance_dimension_must_be_whole(tmp_path, field, value):
+    path = tmp_path / "instance.json"
+    write_instance(generate_instance(1, 1, 1, 1, seed=3), path)
+    document = json.loads(path.read_text())
+    document[field] = value
+    path.write_text(json.dumps(document))
+    with pytest.raises(FormatError, match=f"field '{field}' must be a whole number"):
+        read_instance(path)
+
+
+@pytest.mark.parametrize("alias", ["01", "+1", " 1", "1_0", "-0"])
+def test_strategy_key_must_be_a_plain_index(tmp_path, alias):
+    document = {
+        "format": "strategy-profile",
+        "version": 1,
+        "left": {"1": [1.0], alias: [1.0]},
+        "right": {},
+    }
+    path = _document(tmp_path, "strategies.json", document)
+    with pytest.raises(FormatError, match=re.escape(f"left agent '{alias}'")):
+        read_strategy_profile(path)

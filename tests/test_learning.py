@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from conftest import build_example_market
 
@@ -176,6 +177,64 @@ def test_game_solves_per_episode(monkeypatch, policy):
     if policy is not Policy.NASH_RESPONSE:
         expected += 2 * 3  # up-front true values for the audit
     assert len(calls) == expected
+
+
+def _strategy_cases(rng, count: int):
+    """Dirichlet, one-hot and rounded (tenths) strategies of length 1 to 5."""
+    for case in range(count):
+        n = int(rng.integers(1, 6))
+        kind = case % 3
+        if kind == 0:
+            yield rng.dirichlet(np.full(n, rng.choice([0.2, 1.0, 5.0])))
+        elif kind == 1:
+            yield np.eye(n)[int(rng.integers(n))]
+        else:
+            yield rng.multinomial(10, np.full(n, 1.0 / n)) / 10.0
+
+
+def test_draw_matches_generator_choice():
+    rng = np.random.default_rng(2024)
+    for x in _strategy_cases(rng, 10_000):
+        seed = int(rng.integers(2**63))
+        reference, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            expected = int(reference.choice(len(x), p=x))
+            assert learning._draw(ours, learning.check_strategy(x, len(x))) == expected
+        # both streams stand at the same place afterwards
+        assert ours.random() == reference.random()
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 1.0], [-0.25, 1.25], [0.5, 0.51]], ids=["nan", "negative", "sum-1.01"]
+)
+def test_invalid_strategy_raises_before_any_draw(monkeypatch, bad):
+    draws = []
+    monkeypatch.setattr(learning, "maximin", lambda game: (0.0, np.array(bad)))
+    monkeypatch.setattr(learning, "_draw", lambda rng, x: draws.append(x) or 0)
+    with pytest.raises(InputError):
+        run_episode(generate_instance(2, 2, 2, 2, seed=15), Policy.SELF_PLAY, 1, seed=15)
+    assert draws == []
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_round_layers_are_called_once_per_round(monkeypatch, policy):
+    """The names a per-layer tracer wraps in learning each see one call a round."""
+    calls = {}
+    for name in ("preferences_from_values", "deferred_acceptance", "matching_instability"):
+        original = getattr(learning, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(learning, name, counting)
+    T = 25
+    run_episode(generate_instance(3, 2, 2, 2, seed=16), policy, T, seed=16)
+    assert calls == {
+        "preferences_from_values": T,
+        "deferred_acceptance": T,
+        "matching_instability": T,
+    }
 
 
 def test_run_episode_validation():

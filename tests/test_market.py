@@ -36,8 +36,61 @@ def test_agent_id_basics():
     assert str(right) == "R1"
     assert left < right
     assert left.side is Side.LEFT and right.side is Side.RIGHT
-    with pytest.raises(InputError):
-        AgentId.left(-1)
+    for _ in range(2):  # a refused index is refused every time
+        with pytest.raises(InputError):
+            AgentId.left(-1)
+        with pytest.raises(InputError):
+            AgentId.right(-1)
+
+
+@pytest.mark.parametrize("index", [0, 1, 7])
+def test_agent_id_constructors_equal_the_plain_ids(index):
+    assert AgentId.left(index) == AgentId(Side.LEFT, index)
+    assert AgentId.right(index) == AgentId(Side.RIGHT, index)
+    assert hash(AgentId.left(index)) == hash(AgentId(Side.LEFT, index))
+    assert AgentId.left(index) != AgentId.right(index)
+
+
+def _preferences_by_definition(values, outside) -> tuple:
+    """Stable argsort of the negated values, cut below the outside option."""
+    return tuple(
+        tuple(int(j) for j in np.argsort(-row, kind="stable") if row[j] >= cut)
+        for row, cut in zip(np.asarray(values, dtype=float), outside)
+    )
+
+
+def _tables_with_ties(rng, p: int, a: int):
+    """(left, right, left_outside, right_outside) tables full of ties."""
+    # integer values: many ties, and some entries equal to the outside option
+    yield (
+        rng.integers(-2, 3, size=(p, a)).astype(float),
+        rng.integers(-2, 3, size=(a, p)).astype(float),
+        rng.integers(-2, 3, size=p).astype(float),
+        rng.integers(-2, 3, size=a).astype(float),
+    )
+    # signed zeros against a zero or negative-zero outside option
+    signed = np.array([0.0, -0.0, 1.0, -1.0])
+    yield (
+        rng.choice(signed, size=(p, a)),
+        rng.choice(signed, size=(a, p)),
+        rng.choice(signed[:2], size=p),
+        rng.choice(signed[:2], size=a),
+    )
+    # continuous values cut at outside options drawn from the table itself
+    left, right = rng.standard_normal((p, a)), rng.standard_normal((a, p))
+    yield left, right, rng.choice(left.ravel(), size=p), rng.choice(right.ravel(), size=a)
+
+
+@pytest.mark.parametrize("size", [2, 16])
+def test_preferences_from_values_match_their_definition(size):
+    rng = np.random.default_rng(size)
+    for _ in range(50):
+        for left, right, left_outside, right_outside in _tables_with_ties(rng, size, size):
+            prefs = preferences_from_values(left, right, left_outside, right_outside)
+            assert prefs.left == _preferences_by_definition(left, left_outside)
+            assert prefs.right == _preferences_by_definition(right, right_outside)
+            assert prefs.left_threshold == tuple(left_outside.tolist())
+            assert prefs.right_threshold == tuple(right_outside.tolist())
 
 
 def test_preferences_from_example_values():
