@@ -40,7 +40,7 @@ def _load(path, expected_format: str) -> dict:
         raise FormatError(
             f"{path}: field 'format' is {document.get('format')!r}, expected {expected_format!r}"
         )
-    if document.get("version") != FORMAT_VERSION:
+    if document.get("version") != FORMAT_VERSION or isinstance(document.get("version"), bool):
         raise FormatError(
             f"{path}: field 'version' is {document.get('version')!r}, "
             f"expected {FORMAT_VERSION}"
@@ -60,6 +60,22 @@ def _whole(value) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON true or false sits in value, a number or nested lists."""
+    level = [value]
+    while level and bool not in map(type, level):
+        level = [item for items in level if type(items) is list for item in items]
+    return bool(level)
+
+
+def _reals(value, label: str) -> np.ndarray:
+    """value as a float array, refusing true and false, which it would hold as 1.0 or 0.0."""
+    array = np.asarray(value, dtype=float)
+    if ((array == 1.0) | (array == 0.0)).any() and _holds_bool(value):
+        raise ValueError(f"{label} must hold numbers, not true or false")
+    return array
 
 
 def _whole_field(document: dict, path, name: str) -> int:
@@ -109,9 +125,9 @@ def read_instance(path) -> MarketInstance:
             a=_whole_field(document, path, "a"),
             m=_whole_field(document, path, "m"),
             k=_whole_field(document, path, "k"),
-            games=np.asarray(_field(document, path, "games"), dtype=float),
-            left_outside=np.asarray(_field(outside, path, "left"), dtype=float),
-            right_outside=np.asarray(_field(outside, path, "right"), dtype=float),
+            games=_reals(_field(document, path, "games"), "field 'games'"),
+            left_outside=_reals(_field(outside, path, "left"), "field 'outside_options.left'"),
+            right_outside=_reals(_field(outside, path, "right"), "field 'outside_options.right'"),
             generator=generator,
             seed=document.get("seed"),
         )
@@ -142,25 +158,11 @@ def read_matching(path) -> Matching:
 
 
 def write_strategy_profile(strategies: dict, path) -> None:
-    left = {
-        str(agent.index): np.asarray(vec, dtype=float).tolist()
-        for agent, vec in strategies.items()
-        if agent.side is Side.LEFT
-    }
-    right = {
-        str(agent.index): np.asarray(vec, dtype=float).tolist()
-        for agent, vec in strategies.items()
-        if agent.side is Side.RIGHT
-    }
-    _dump(
-        {
-            "format": STRATEGY_FORMAT,
-            "version": FORMAT_VERSION,
-            "left": left,
-            "right": right,
-        },
-        path,
-    )
+    sides: dict = {"left": {}, "right": {}}
+    for agent, vec in strategies.items():
+        side = sides["left" if agent.side is Side.LEFT else "right"]
+        side[str(agent.index)] = np.asarray(vec, dtype=float).tolist()
+    _dump({"format": STRATEGY_FORMAT, "version": FORMAT_VERSION, **sides}, path)
 
 
 def read_strategy_profile(path) -> dict:
@@ -177,7 +179,7 @@ def read_strategy_profile(path) -> dict:
                     # "01", "+1" or " 1" would alias (and overwrite) agent 1
                     raise ValueError("the key must be a plain decimal index")
                 agent = make(index)
-                out[agent] = np.asarray(vec, dtype=float)
+                out[agent] = _reals(vec, "the strategy")
             except (InputError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad strategy for {side_name} agent {key!r}: {exc}") from exc
             if out[agent].ndim != 1:
@@ -208,6 +210,8 @@ def read_preferences(path) -> PreferenceProfile:
             lists[name] = tuple(tuple(_whole(index) for index in lst) for lst in raw)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: field {name!r}: bad preference lists: {exc}") from exc
+        if _holds_bool(document.get(f"{name}_threshold")):
+            raise FormatError(f"{path}: field '{name}_threshold' must hold numbers, not true or false")
     try:
         # PreferenceProfile fills missing thresholds with zeros
         return PreferenceProfile(

@@ -29,7 +29,7 @@ def as_payoff_matrix(game) -> np.ndarray:
     A = np.asarray(game, dtype=float)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise DimensionError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
         raise InputError("payoff matrix contains non-finite entries")
     return A
 
@@ -50,8 +50,9 @@ def check_strategy(strategy, n_actions: int) -> np.ndarray:
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 0.0, None)
-    return x / x.sum()
+    # np.clip(x, 0.0, None) / x.sum() without the Python wrappers, to the bit
+    x = np.maximum(x, 0.0)
+    return x / np.add.reduce(x)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def maximin(game) -> tuple[float, np.ndarray]:
     if A.shape == (1, 1):
         # the LP would only add rounding noise to the lone payoff entry
         return float(A[0, 0]), np.array([1.0])
-    scale = float(np.abs(A).max()) or 1.0
+    scale = float(np.maximum.reduce(np.abs(A), axis=None)) or 1.0
     try:
         _, u = solve_lp(A / scale + 2.0)
     except RuntimeError as exc:
@@ -83,7 +84,7 @@ def maximin(game) -> tuple[float, np.ndarray]:
         raise SolverError(
             f"game solver failed ({exc}) on payoffs of magnitude up to {scale:.3g}"
         ) from exc
-    return (1.0 / float(u.sum()) - 2.0) * scale + 0.0, _normalized(u)
+    return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, _normalized(u)
 
 
 def game_value(game) -> float:

@@ -6,7 +6,7 @@ families of constraints: no agent is worse off than its outside option
 (value rationality, strategy-aware metric only), and no cross pair can
 jointly deviate (blocking cover). Subsidies are nonnegative.
 
-The exact solver works on arrays, with left agent i numbered i and right
+The exact solver works on lists, with left agent i numbered i and right
 agent j numbered p + j; AgentIds are built only for the report. It takes
 per-agent lower bounds (floors), then covers the cross pairs whose
 constraints bind. Each such pair needs its left or its right member raised
@@ -259,36 +259,41 @@ def _audit(
     """
     if not tol >= 0.0:
         raise InputError(f"tol must be a nonnegative number, got {tol!r}")
+    # numpy's rules on Python floats: a term within tol is 0.0, a tied floor keeps participation
     p, a = left_gain.shape
-    rows, cols = np.array(matching.pairs, dtype=int).reshape(-1, 2).T
-    gap_left = left_gain - current[0][:, None]
-    gap_right = right_gain.T - current[1]
-    participation = np.concatenate(outside) - np.concatenate(current)
-    value_gap = np.zeros(p + a)
-    value_gap[rows] = gap_left[rows, cols]
-    value_gap[p + cols] = gap_right[rows, cols]
-    participation[participation <= tol] = 0.0
-    value_gap[value_gap <= tol] = 0.0
-    floors = np.maximum(participation, value_gap)
+    current_left, current_right = current[0].tolist(), current[1].tolist()
+    gap_left = [[g - c for g in row] for row, c in zip(left_gain.tolist(), current_left)]
+    gap_right = [[g - c for g, c in zip(row, current_right)] for row in right_gain.T.tolist()]
+    outside_all = outside[0].tolist() + outside[1].tolist()
+    participation = [o - c for o, c in zip(outside_all, current_left + current_right)]
+    value_gap = [0.0] * (p + a)
+    for i, j in matching.pairs:
+        value_gap[i], value_gap[p + j] = gap_left[i][j], gap_right[i][j]
+    participation = [0.0 if v <= tol else v for v in participation]
+    value_gap = [0.0 if v <= tol else v for v in value_gap]
+    floors = [v if v >= g else g for v, g in zip(participation, value_gap)]
 
-    bar = floors + tol
-    active = (gap_left > bar[:p, None]) & (gap_right > bar[p:])
-    active[rows, cols] = False  # covered by the pair's own value-gap terms
-    left_active, right_active = np.nonzero(active)
-    columns = (left_active, p + right_active, gap_left[active], gap_right[active])
-    final = _solve_cover(floors.tolist(), list(zip(*(c.tolist() for c in columns))), tol)
+    bar = [floor + tol for floor in floors]
+    matched = set(matching.pairs)  # covered by the pair's own value-gap terms
+    pairs = [
+        (i, p + j, g, h)
+        for i, (row_left, row_right, bar_left) in enumerate(zip(gap_left, gap_right, bar))
+        for j, (g, h, bar_j) in enumerate(zip(row_left, row_right, bar[p:]))
+        if g > bar_left and h > bar_j and (i, j) not in matched
+    ]
+    final = _solve_cover(floors, pairs, tol)
     agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
-    terms = zip(agents, final, floors.tolist(), (participation >= value_gap).tolist())
+    terms = zip(agents, final, floors, participation, value_gap)
     binding = {
         agent: TAG_NONE if amount <= 0.0 else TAG_COVER if amount > floor
-        else TAG_PARTICIPATION if participation_wins else TAG_VALUE_GAP
-        for agent, amount, floor, participation_wins in terms
+        else TAG_PARTICIPATION if term >= gap else TAG_VALUE_GAP
+        for agent, amount, floor, term, gap in terms
     }
     subsidies = SubsidyVector.of(dict(zip(agents, final)))
     return InstabilityReport(
         value=subsidies.total,
         subsidies=subsidies,
-        active_pairs=tuple(zip(left_active.tolist(), right_active.tolist())),
+        active_pairs=tuple((i, j - p) for i, j, _, _ in pairs),
         binding=binding,
     )
 

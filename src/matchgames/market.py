@@ -157,21 +157,21 @@ class PreferenceProfile:
     right_threshold: tuple[float, ...] = ()
 
     def __post_init__(self):
-        left = tuple(tuple(int(j) for j in lst) for lst in self.left)
-        right = tuple(tuple(int(i) for i in lst) for lst in self.right)
+        left = tuple(tuple(map(int, lst)) for lst in self.left)
+        right = tuple(tuple(map(int, lst)) for lst in self.right)
         for lst, bound, label in (
             *[(lst, len(right), "left") for lst in left],
             *[(lst, len(left), "right") for lst in right],
         ):
             if len(set(lst)) != len(lst):
                 raise InputError(f"{label} preference list repeats an entry: {lst}")
-            if any(x < 0 or x >= bound for x in lst):
+            if lst and (min(lst) < 0 or max(lst) >= bound):
                 raise DimensionError(f"{label} preference list {lst} references index out of range")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         for name, lists in (("left", left), ("right", right)):
             raw = getattr(self, f"{name}_threshold")
-            thresholds = tuple(float(v) for v in raw) if raw else (0.0,) * len(lists)
+            thresholds = tuple(map(float, raw)) if raw else (0.0,) * len(lists)
             if len(thresholds) != len(lists):
                 raise DimensionError(
                     f"{name}_threshold has {len(thresholds)} entries for {len(lists)} agents"
@@ -204,7 +204,7 @@ class UtilityTable:
                 f"utility table shapes disagree: left {lv.shape}, right {rv.shape}, "
                 f"outside {lo.shape}/{ro.shape}"
             )
-        if not all(np.isfinite(arr).all() for arr in (lv, rv, lo, ro)):
+        if not np.isfinite(np.concatenate((lv, rv, lo, ro), axis=None)).all():
             raise InputError("utility table contains non-finite entries")
         object.__setattr__(self, "left", lv)
         object.__setattr__(self, "right", rv)

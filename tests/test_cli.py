@@ -148,6 +148,42 @@ def test_audit_truncating_integer_is_input_error(audit_files, tmp_path, capsys, 
     assert captured.out == "" and field in captured.err
 
 
+@pytest.mark.parametrize(
+    ("document", "field"),
+    [
+        ("instance", "'games'"),
+        ("instance", "'outside_options.right'"),
+        ("strategies", "left agent '1'"),
+    ],
+)
+def test_audit_bool_number_is_input_error(audit_files, tmp_path, capsys, document, field):
+    paths = dict(zip(("instance", "matching", "strategies"), audit_files))
+    record = json.loads(open(paths[document]).read())
+    if field == "'games'":
+        record["games"][0][1] = [[True]]
+    elif document == "instance":
+        record["outside_options"]["right"][0] = False
+    else:
+        record["left"]["1"] = [True]
+    paths[document] = str(tmp_path / f"bad_{document}.json")
+    with open(paths[document], "w") as handle:
+        json.dump(record, handle)
+    argv = ["audit", *(f"--{name}={path}" for name, path in paths.items())]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err and "true or false" in captured.err
+
+
+def test_match_bool_threshold_is_input_error(tmp_path, capsys):
+    prefs_path = tmp_path / "prefs.json"
+    prefs_path.write_text(
+        '{"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": [false]}'
+    )
+    assert main(["match", "--preferences", str(prefs_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'right_threshold'" in captured.err
+
+
 def test_audit_reports_instability(audit_files, capsys):
     instance_path, matching_path, strategies_path = audit_files
     argv = [

@@ -243,3 +243,64 @@ def test_strategy_key_must_be_a_plain_index(tmp_path, alias):
     path = _document(tmp_path, "strategies.json", document)
     with pytest.raises(FormatError, match=re.escape(f"left agent '{alias}'")):
         read_strategy_profile(path)
+
+
+def _instance_document(**changes) -> dict:
+    document = {
+        "format": "market-instance",
+        "version": 1,
+        "p": 1, "a": 1, "m": 1, "k": 2,
+        "games": [[[[0.5, -0.5]]]],
+        "outside_options": {"left": [-1.0], "right": [-1.0]},
+    }
+    document.update(changes)
+    return document
+
+
+@pytest.mark.parametrize(
+    ("reader", "document", "field"),
+    [
+        (read_instance, _instance_document(games=[[[[0.5, True]]]]), "field 'games'"),
+        (read_instance, _instance_document(games=[[[[False, 1.0]]]]), "field 'games'"),
+        (read_instance, _instance_document(outside_options={"left": [False], "right": [-1.0]}),
+         "field 'outside_options.left'"),
+        (read_instance, _instance_document(outside_options={"left": [-1.0], "right": True}),
+         "field 'outside_options.right'"),
+        (read_strategy_profile, {"format": "strategy-profile", "version": 1, "left": {"0": [True]}, "right": {}},
+         "left agent '0'"),
+        (read_strategy_profile,
+         {"format": "strategy-profile", "version": 1, "left": {}, "right": {"1": [0.0, False, 1.0]}},
+         "right agent '1'"),
+        (read_preferences,
+         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": [True]},
+         "field 'left_threshold'"),
+        (read_preferences,
+         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": False},
+         "field 'right_threshold'"),
+    ],
+    ids=[
+        "games-true", "games-false", "outside-left", "outside-right",
+        "strategy-left", "strategy-right", "left-threshold", "right-threshold",
+    ],
+)
+def test_bool_is_not_read_as_a_number(tmp_path, reader, document, field):
+    path = _document(tmp_path, "document.json", document)
+    with pytest.raises(FormatError, match=re.escape(field) + ".*not true or false"):
+        reader(path)
+
+
+def test_numbers_equal_to_one_and_zero_are_read(tmp_path):
+    # 1.0 and 0.0 are what a bool would become, so they are searched, not refused
+    document = _instance_document(games=[[[[1, 0.0]]]], outside_options={"left": [0], "right": [1.0]})
+    instance = read_instance(_document(tmp_path, "instance.json", document))
+    assert instance.games.tolist() == [[[[1.0, 0.0]]]]
+    assert instance.left_outside.tolist() == [0.0] and instance.right_outside.tolist() == [1.0]
+    profile = {"format": "strategy-profile", "version": 1, "left": {"0": [0, 1]}, "right": {}}
+    assert read_strategy_profile(_document(tmp_path, "s.json", profile))[AgentId.left(0)].tolist() == [0.0, 1.0]
+
+
+def test_bool_version_rejected(tmp_path):
+    # true == 1, so the version comparison alone would take it
+    path = _document(tmp_path, "matching.json", {"format": "matching", "version": True, "pairs": []})
+    with pytest.raises(FormatError, match="field 'version' is True, expected 1"):
+        read_matching(path)

@@ -192,3 +192,33 @@ def test_value_identities_hold_at_every_scale():
             assert (game.T @ sol.row_strategy >= sol.value - tol).all(), (A, c, d)
             assert (game @ sol.column_strategy <= sol.value + tol).all(), (A, c, d)
             assert abs(game_value(-game.T) + sol.value) <= tol, (A, c, d)
+
+
+def test_wrapper_reductions_are_the_former_ones():
+    # _normalized and maximin call numpy's ufuncs directly; the results must
+    # be the bits of the np.clip / .sum() / .max() forms they replace
+    rng = np.random.default_rng(41)
+    vectors = [
+        np.array([-0.0, 0.5, 0.5]),
+        np.array([0.0, -0.0, 1.0]),
+        np.array([-1e-17, 0.25, 0.75]),
+        np.array([0.3, -1.2e-17, -0.0, 0.0, 0.7]),
+        np.array([1e-17, -1e-17]),
+    ]
+    for n in range(1, 6):
+        tiny = rng.choice([-0.0, 0.0, -1e-17, 1e-17, 1e-300, *rng.uniform(0.0, 1.0, 3)], size=n)
+        vectors.append(rng.permutation([*tiny, rng.uniform(0.1, 1.0)]))
+    for u in vectors:
+        clipped = np.clip(u, 0.0, None)
+        assert games._normalized(u).tobytes() == (clipped / clipped.sum()).tobytes()
+    for m in range(2, 6):
+        for k in range(2, 6):
+            for integer in (True, False):
+                for _ in range(25):
+                    A = rng.integers(-2, 3, size=(m, k)).astype(float) if integer else rng.normal(size=(m, k))
+                    value, x = maximin(A)
+                    scale = float(np.abs(A).max()) or 1.0
+                    _, u = games.solve_lp(A / scale + 2.0)
+                    clipped = np.clip(u, 0.0, None)
+                    assert value.hex() == ((1.0 / float(u.sum()) - 2.0) * scale + 0.0).hex()
+                    assert x.tobytes() == (clipped / clipped.sum()).tobytes()

@@ -13,7 +13,10 @@ from matchgames.instability import (
     TAG_NONE,
     TAG_PARTICIPATION,
     TAG_VALUE_GAP,
+    InstabilityReport,
+    SubsidyVector,
     _audit,
+    _solve_cover,
     matching_instability,
     oracle_mi,
     realized_utilities,
@@ -541,3 +544,64 @@ def test_empty_matching_audit_at_n30_is_bounded():
     raise_left = np.maximum(gap_left.max(axis=1), 0.0).sum()
     raise_right = np.maximum(gap_right.max(axis=0), 0.0).sum()
     assert 0.0 <= report.value <= min(raise_left, raise_right) + 1e-9
+
+
+def audit_by_arrays(left_gain, right_gain, matching, current, outside, tol):
+    """_audit restated on numpy arrays: floors by masked assignment and
+    np.maximum, the active pairs by one mask read in np.nonzero's order."""
+    p, a = left_gain.shape
+    rows, cols = np.array(matching.pairs, dtype=int).reshape(-1, 2).T
+    gap_left = left_gain - current[0][:, None]
+    gap_right = right_gain.T - current[1]
+    participation = np.concatenate(outside) - np.concatenate(current)
+    value_gap = np.zeros(p + a)
+    value_gap[rows] = gap_left[rows, cols]
+    value_gap[p + cols] = gap_right[rows, cols]
+    participation[participation <= tol] = 0.0
+    value_gap[value_gap <= tol] = 0.0
+    floors = np.maximum(participation, value_gap)
+    bar = floors + tol
+    active = (gap_left > bar[:p, None]) & (gap_right > bar[p:])
+    active[rows, cols] = False
+    left_active, right_active = np.nonzero(active)
+    columns = (left_active, p + right_active, gap_left[active], gap_right[active])
+    final = _solve_cover(floors.tolist(), list(zip(*(c.tolist() for c in columns))), tol)
+    agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
+    terms = zip(agents, final, floors.tolist(), (participation >= value_gap).tolist())
+    binding = {
+        agent: TAG_NONE if amount <= 0.0 else TAG_COVER if amount > floor
+        else TAG_PARTICIPATION if participation_wins else TAG_VALUE_GAP
+        for agent, amount, floor, participation_wins in terms
+    }
+    subsidies = SubsidyVector.of(dict(zip(agents, final)))
+    return InstabilityReport(
+        value=subsidies.total,
+        subsidies=subsidies,
+        active_pairs=tuple(zip(left_active.tolist(), right_active.tolist())),
+        binding=binding,
+    )
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "gaussian"])
+def test_audit_core_matches_its_array_definition(integer):
+    rng = np.random.default_rng(40 + integer)
+
+    def draw(*shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if integer else rng.standard_normal(shape)
+
+    for p, a in itertools.product(range(1, 9), repeat=2):
+        left_gain, right_gain = draw(p, a), draw(a, p)
+        outside = (draw(p), draw(a))
+        shuffled = tuple(zip(rng.permutation(p).tolist(), rng.permutation(a).tolist()))
+        for size in (0, int(rng.integers(1, min(p, a) + 1)), min(p, a)):  # empty, partial, full
+            matching = Matching(shuffled[:size])
+            # current utilities read from the gain tables, as subset_instability
+            # does, and drawn apart from them, as realized play gives
+            read = (outside[0].copy(), outside[1].copy())
+            for i, j in matching.pairs:
+                read[0][i], read[1][j] = left_gain[i, j], right_gain[j, i]
+            for current in (read, (draw(p), draw(a))):
+                for tol in (0.0, 1e-9, 0.05, 1.0):  # integer gaps hit tol 1.0 exactly
+                    args = (left_gain, right_gain, matching, current, outside, tol)
+                    expected = audit_by_arrays(*args).to_record()
+                    assert repr(_audit(*args).to_record()) == repr(expected)

@@ -231,6 +231,50 @@ def test_preference_profile_validation():
         PreferenceProfile(((0,),), ((0,),), left_threshold=(0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    ("left", "right", "thresholds", "error", "message"),
+    [
+        (((0, 1, 0),), ((0,), (0,)), {}, InputError, "left preference list repeats an entry: (0, 1, 0)"),
+        (((0,),), ((0, 0),), {}, InputError, "right preference list repeats an entry: (0, 0)"),
+        (((-1,),), ((0,),), {}, DimensionError, "left preference list (-1,) references index out of range"),
+        (((0, 1),), ((0,),), {}, DimensionError, "left preference list (0, 1) references index out of range"),
+        (((0,),), ((-1,),), {}, DimensionError, "right preference list (-1,) references index out of range"),
+        (((0,),), ((1, 0),), {}, DimensionError, "right preference list (1, 0) references index out of range"),
+        # a repeat is reported before a range fault, and left lists before right ones
+        (((2, 2),), ((0,),), {}, InputError, "left preference list repeats an entry: (2, 2)"),
+        (((1,),), ((0, 0),), {}, DimensionError, "left preference list (1,) references index out of range"),
+        (((0,),), ((0,),), {"left_threshold": (0.0, 1.0)}, DimensionError,
+         "left_threshold has 2 entries for 1 agents"),
+        (((0,),), ((0,),), {"right_threshold": (0.5, 0.5, 0.5)}, DimensionError,
+         "right_threshold has 3 entries for 1 agents"),
+    ],
+    ids=[
+        "left-repeat", "right-repeat", "left-negative", "left-bound", "right-negative", "right-bound",
+        "repeat-before-range", "left-before-right", "left-threshold", "right-threshold",
+    ],
+)
+def test_preference_profile_refusals_keep_their_messages(left, right, thresholds, error, message):
+    with pytest.raises(InputError) as info:
+        PreferenceProfile(left, right, **thresholds)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["left", "right", "left_outside", "right_outside"])
+def test_utility_table_refuses_non_finite_entries(field, bad):
+    tables = {
+        "left": np.zeros((2, 3)),
+        "right": np.zeros((3, 2)),
+        "left_outside": np.zeros(2),
+        "right_outside": np.zeros(3),
+    }
+    tables[field].flat[-1] = bad
+    with pytest.raises(InputError) as info:
+        UtilityTable(**tables)
+    assert type(info.value) is InputError
+    assert str(info.value) == "utility table contains non-finite entries"
+
+
 def test_generate_instance_shapes_and_determinism():
     inst = generate_instance(2, 3, 4, 5, seed=9)
     assert inst.games.shape == (2, 3, 4, 5)
