@@ -11,10 +11,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InputError
 from .experiments import (
@@ -26,7 +24,9 @@ from .experiments import (
 )
 from .formats import (
     FORMAT_VERSION,
-    MATCHING_FORMAT,
+    _decode,
+    _matching_record,
+    _reals,
     _whole,
     read_preferences,
     write_instance,
@@ -36,8 +36,6 @@ from .formats import (
 from .games import solve_game
 from .learning import Policy
 from .market import Generator, Side, deferred_acceptance, generate_instance
-
-_CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)}
 
 
 def _print(record: dict) -> None:
@@ -54,14 +52,25 @@ def _parse_delta(raw) -> float | None:
     return None if raw == "auto" else _real(raw)
 
 
+# how each ExperimentConfig field is read from its flag or config key; the
+# defaults live in ExperimentConfig alone
+_SETTINGS = {
+    **dict.fromkeys(("p", "a", "m", "k", "T", "runs", "seeds_base"), _whole),
+    "policy": Policy,
+    "generator": Generator,
+    "outside_option": _real,
+    "delta": _parse_delta,
+    "noise_scale": _real,
+    "output_dir": os.fspath,
+    "workers": _whole,
+}
+
+
 def _load_config_file(path) -> dict:
-    try:
-        document = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    document = _decode(Path(path).read_text(), path)
     if not isinstance(document, dict):
         raise InputError(f"{path}: config must be a JSON object")
-    unknown = set(document) - _CONFIG_KEYS
+    unknown = set(document) - set(_SETTINGS)
     if unknown:
         raise InputError(f"{path}: unknown config keys {sorted(unknown)}")
     return document
@@ -69,36 +78,21 @@ def _load_config_file(path) -> dict:
 
 def _cmd_simulate(args) -> int:
     file_config = _load_config_file(args.config) if args.config else {}
-
-    def setting(key, convert, default=None):
-        flag = getattr(args, key)
-        value = flag if flag is not None else file_config.get(key, default)
+    settings = {}
+    for field in fields(ExperimentConfig):  # p, a, m, k, T first: they have no default
+        key = field.name
+        value = getattr(args, key)
         if value is None:
-            return None
+            value = file_config.get(key)
+        if value is None:
+            if field.default is MISSING:
+                raise InputError(f"missing required setting {key!r} (flag or config file)")
+            continue
         try:
-            return convert(value)
+            settings[key] = _SETTINGS[key](value)
         except (TypeError, ValueError):
             raise InputError(f"setting {key!r} has a bad value {value!r}") from None
-
-    for key in ("p", "a", "m", "k", "T"):
-        if setting(key, _whole) is None:
-            raise InputError(f"missing required setting {key!r} (flag or config file)")
-    config = ExperimentConfig(
-        p=setting("p", _whole),
-        a=setting("a", _whole),
-        m=setting("m", _whole),
-        k=setting("k", _whole),
-        T=setting("T", _whole),
-        runs=setting("runs", _whole, 50),
-        seeds_base=setting("seeds_base", _whole, 0),
-        policy=setting("policy", Policy, Policy.SELF_PLAY.value),
-        generator=setting("generator", Generator, Generator.GAUSSIAN_UNIT.value),
-        outside_option=setting("outside_option", _real, -1.0),
-        delta=setting("delta", _parse_delta),
-        noise_scale=setting("noise_scale", _real, 1.0),
-        output_dir=setting("output_dir", os.fspath),
-        workers=setting("workers", _whole),
-    )
+    config = ExperimentConfig(**settings)
     trace = run_experiment(config)
     _print(
         {
@@ -129,17 +123,11 @@ def _cmd_solve_game(args) -> int:
     if (args.matrix is None) == (args.file is None):
         raise InputError("provide exactly one of --matrix or --file")
     if args.matrix is not None:
-        try:
-            payload = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"--matrix is not valid JSON: {exc.msg}") from exc
+        payload = _decode(args.matrix, "--matrix")
     else:
-        try:
-            payload = json.loads(Path(args.file).read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.file}: line {exc.lineno}: {exc.msg}") from exc
+        payload = _decode(Path(args.file).read_text(), args.file)
     try:
-        matrix = np.asarray(payload, dtype=float)
+        matrix = _reals(payload, "the matrix")
     except (TypeError, ValueError) as exc:
         raise InputError(f"payoff matrix is not numeric: {exc}") from exc
     solution = solve_game(matrix)
@@ -159,14 +147,9 @@ def _cmd_match(args) -> int:
     prefs = read_preferences(args.preferences)
     side = Side.LEFT if args.proposing_side == "left" else Side.RIGHT
     matching = deferred_acceptance(prefs, side)
-    document = {
-        "format": MATCHING_FORMAT,
-        "version": FORMAT_VERSION,
-        "pairs": [list(pair) for pair in matching.pairs],
-    }
     if args.output:
         write_matching(matching, args.output)
-    _print(document)
+    _print(_matching_record(matching))
     return 0
 
 

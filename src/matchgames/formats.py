@@ -28,12 +28,16 @@ def _dump(document: dict, path) -> None:
     Path(path).write_text(json.dumps(document, indent=2) + "\n")
 
 
-def _load(path, expected_format: str) -> dict:
-    text = Path(path).read_text()
+def _decode(text: str, where):
+    """text parsed as JSON; a syntax error is a FormatError naming where and the position."""
     try:
-        document = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise FormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
+def _load(path, expected_format: str) -> dict:
+    document = _decode(Path(path).read_text(), path)
     if not isinstance(document, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     if document.get("format") != expected_format:
@@ -55,9 +59,9 @@ def _field(document: dict, path, name: str):
 
 
 def _whole(value) -> int:
-    """value as an int; a bool or a number with a fractional part is refused
-    rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int; a bool, a string or a number with a fractional part is
+    refused rather than truncated or parsed."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -112,6 +116,7 @@ def read_instance(path) -> MarketInstance:
     outside = _field(document, path, "outside_options")
     if not isinstance(outside, dict):
         raise FormatError(f"{path}: field 'outside_options' must be an object")
+    seed = None if document.get("seed") is None else _whole_field(document, path, "seed")
     generator_name = document.get("generator")
     generator = None
     if generator_name is not None:
@@ -129,7 +134,7 @@ def read_instance(path) -> MarketInstance:
             left_outside=_reals(_field(outside, path, "left"), "field 'outside_options.left'"),
             right_outside=_reals(_field(outside, path, "right"), "field 'outside_options.right'"),
             generator=generator,
-            seed=document.get("seed"),
+            seed=seed,
         )
     except (InputError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
@@ -137,15 +142,16 @@ def read_instance(path) -> MarketInstance:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _matching_record(matching: Matching) -> dict:
+    return {
+        "format": MATCHING_FORMAT,
+        "version": FORMAT_VERSION,
+        "pairs": [list(pair) for pair in matching.pairs],
+    }
+
+
 def write_matching(matching: Matching, path) -> None:
-    _dump(
-        {
-            "format": MATCHING_FORMAT,
-            "version": FORMAT_VERSION,
-            "pairs": [list(pair) for pair in matching.pairs],
-        },
-        path,
-    )
+    _dump(_matching_record(matching), path)
 
 
 def read_matching(path) -> Matching:

@@ -336,14 +336,9 @@ def subset_instability(
     This is the single-action specialization: deviations are valued by the
     utility table directly and there is no value-rationality constraint.
     """
-    p, a = utilities.left.shape
-    matching.validate_for(p, a)
-    left = utilities.left_outside.copy()
-    right = utilities.right_outside.copy()
-    for i, j in matching.pairs:
-        left[i], right[j] = utilities.left[i, j], utilities.right[j, i]
+    current = utilities.current(matching)
     outside = (utilities.left_outside, utilities.right_outside)
-    return _audit(utilities.left, utilities.right, matching, (left, right), outside, tol)
+    return _audit(utilities.left, utilities.right, matching, current, outside, tol)
 
 
 def single_pair_deviation(instance: MarketInstance, strategies: dict) -> float:
@@ -384,17 +379,12 @@ def oracle_mi(instance: MarketInstance, matching: Matching, strategies: dict) ->
     realized = realized_utilities(instance, matching, strategies)
     agents = instance.agents()
 
-    lower: dict = {}
-    for agent in agents:
-        bound = max(0.0, instance.outside_option(agent) - realized[agent])
-        partner = matching.partner_of(agent)
-        if partner is not None:
-            if agent.side is Side.LEFT:
-                own = float(values[agent.index, partner])
-            else:
-                own = -float(values[partner, agent.index])
-            bound = max(bound, own - realized[agent])
-        lower[agent] = bound
+    outside = instance.left_outside.tolist() + instance.right_outside.tolist()
+    lower = {agent: max(0.0, o - realized[agent]) for agent, o in zip(agents, outside)}
+    for i, j in matching.pairs:
+        value, left, right = float(values[i, j]), AgentId.left(i), AgentId.right(j)
+        lower[left] = max(lower[left], value - realized[left])
+        lower[right] = max(lower[right], -value - realized[right])
 
     candidates: dict = {}
     for agent in agents:

@@ -8,7 +8,7 @@ agent's point of view; the right agent receives the negation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 
@@ -90,11 +90,6 @@ class MarketInstance:
         object.__setattr__(self, "left_outside", lo)
         object.__setattr__(self, "right_outside", ro)
 
-    def outside_option(self, agent: AgentId) -> float:
-        if agent.side is Side.LEFT:
-            return float(self.left_outside[agent.index])
-        return float(self.right_outside[agent.index])
-
     def agents(self) -> list[AgentId]:
         return [AgentId.left(i) for i in range(self.p)] + [
             AgentId.right(j) for j in range(self.a)
@@ -106,33 +101,18 @@ class Matching:
     """A set of disjoint (left index, right index) pairs."""
 
     pairs: tuple[tuple[int, int], ...]
-    _left: dict = field(init=False, repr=False, compare=False)
-    _right: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = tuple(sorted((int(i), int(j)) for i, j in self.pairs))
-        left, right = {}, {}
+        left, right = set(), set()
         for i, j in pairs:
             if i < 0 or j < 0:
                 raise InputError(f"matched indices must be nonnegative, got {(i, j)}")
             if i in left or j in right:
                 raise InputError(f"agent matched twice in {pairs}")
-            left[i] = j
-            right[j] = i
+            left.add(i)
+            right.add(j)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_left", left)
-        object.__setattr__(self, "_right", right)
-
-    def left_partner_of(self, j: int) -> int | None:
-        return self._right.get(j)
-
-    def right_partner_of(self, i: int) -> int | None:
-        return self._left.get(i)
-
-    def partner_of(self, agent: AgentId) -> int | None:
-        if agent.side is Side.LEFT:
-            return self.right_partner_of(agent.index)
-        return self.left_partner_of(agent.index)
 
     def validate_for(self, p: int, a: int) -> None:
         for i, j in self.pairs:
@@ -211,19 +191,13 @@ class UtilityTable:
         object.__setattr__(self, "left_outside", lo)
         object.__setattr__(self, "right_outside", ro)
 
-    def current(self, agent: AgentId, matching: Matching) -> float:
-        """Utility at the agent's current assignment; outside option if unmatched."""
-        partner = matching.partner_of(agent)
-        if partner is None:
-            return self.outside(agent)
-        if agent.side is Side.LEFT:
-            return float(self.left[agent.index, partner])
-        return float(self.right[agent.index, partner])
-
-    def outside(self, agent: AgentId) -> float:
-        if agent.side is Side.LEFT:
-            return float(self.left_outside[agent.index])
-        return float(self.right_outside[agent.index])
+    def current(self, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) utilities at the matching; unmatched agents sit at their outside option."""
+        matching.validate_for(*self.left.shape)
+        left, right = self.left_outside.copy(), self.right_outside.copy()
+        for i, j in matching.pairs:
+            left[i], right[j] = self.left[i, j], self.right[j, i]
+        return left, right
 
 
 @dataclass(frozen=True)
@@ -307,33 +281,22 @@ def is_stable(utilities: UtilityTable, matching: Matching, tol: float = 1e-9) ->
     their current assignment; an IR violation is a matched agent worse off
     than its outside option by more than tol.
     """
-    p, a = utilities.left.shape
-    matching.validate_for(p, a)
-    current_left = np.array(
-        [utilities.current(AgentId.left(i), matching) for i in range(p)]
-    )
-    current_right = np.array(
-        [utilities.current(AgentId.right(j), matching) for j in range(a)]
-    )
+    current_left, current_right = utilities.current(matching)
     ir = [
-        agent
-        for agent in (
-            [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
-        )
-        if matching.partner_of(agent) is not None
-        and utilities.current(agent, matching) < utilities.outside(agent) - tol
+        AgentId.left(i) for i, _ in matching.pairs
+        if current_left[i] < utilities.left_outside[i] - tol
+    ] + [
+        AgentId.right(j) for j in sorted(j for _, j in matching.pairs)
+        if current_right[j] < utilities.right_outside[j] - tol
     ]
-    blocking = [
-        (i, j)
-        for i in range(p)
-        for j in range(a)
-        if utilities.left[i, j] > current_left[i] + tol
-        and utilities.right[j, i] > current_right[j] + tol
-    ]
+    blocking = np.argwhere(
+        (utilities.left > current_left[:, None] + tol)
+        & (utilities.right.T > current_right[None, :] + tol)
+    ).tolist()
     return StabilityReport(
         stable=not ir and not blocking,
         ir_violations=tuple(ir),
-        blocking_pairs=tuple(blocking),
+        blocking_pairs=tuple(map(tuple, blocking)),
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import build_example_market, build_example_profile
 
 from matchgames.cli import entry, main
+from matchgames.experiments import ExperimentConfig
 from matchgames.formats import (
     read_instance,
     write_instance,
@@ -61,6 +62,32 @@ def test_solve_game_requires_exactly_one_source(capsys, tmp_path):
 def test_solve_game_rejects_ragged_matrix(capsys):
     assert main(["solve-game", "--matrix", "[[1,2],[3]]"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--matrix", "--file"])
+def test_solve_game_refuses_bool_entries(tmp_path, capsys, source):
+    matrix = "[[true, false], [false, true]]"
+    if source == "--file":
+        path = tmp_path / "game.json"
+        path.write_text(matrix)
+        matrix = str(path)
+    assert main(["solve-game", source, matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "matrix" in captured.err and "true or false" in captured.err
+
+
+@pytest.mark.parametrize("command", ["matrix", "file", "config"])
+def test_json_syntax_errors_name_the_source_and_position(tmp_path, capsys, command):
+    path = tmp_path / "broken.json"
+    path.write_text('{\n  "p": 1,\n  oops\n}')
+    argv, where = {
+        "matrix": (["solve-game", "--matrix", "[[1, 2],"], "--matrix: line 1 column 9: "),
+        "file": (["solve-game", "--file", str(path)], f"{path}: line 3 column 3: "),
+        "config": (["simulate", "--config", str(path)], f"{path}: line 3 column 3: "),
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {where}")
 
 
 def test_solve_game_rescaled_matrix_solves(capsys):
@@ -126,6 +153,7 @@ def test_match_fractional_preference_index_is_input_error(tmp_path, capsys):
     ("document", "field"),
     [
         ("instance", "'p'"),
+        ("instance", "'seed'"),
         ("matching", "'pairs'"),
         ("strategies", "'01'"),
     ],
@@ -133,7 +161,9 @@ def test_match_fractional_preference_index_is_input_error(tmp_path, capsys):
 def test_audit_truncating_integer_is_input_error(audit_files, tmp_path, capsys, document, field):
     paths = dict(zip(("instance", "matching", "strategies"), audit_files))
     record = json.loads(open(paths[document]).read())
-    if document == "instance":
+    if field == "'seed'":
+        record["seed"] = "abc"
+    elif document == "instance":
         record["p"] = 2.5
     elif document == "matching":
         record["pairs"] = [[0.9, 0], [1, 1]]
@@ -303,6 +333,37 @@ def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key,
 def test_simulate_requires_market_dimensions(capsys):
     assert main(["simulate", "--p", "1", "--a", "1", "--m", "1"]) == 2
     assert "required" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize(
+    ("config", "message"),
+    [
+        ({"a": 1.5}, "missing required setting 'p' (flag or config file)"),
+        ({"p": 1.5}, "setting 'p' has a bad value 1.5"),
+        ({"p": 1, "a": 1, "m": "x"}, "setting 'm' has a bad value 'x'"),
+        ({"p": 1, "a": 1, "m": 1, "k": 1, "runs": 0.5}, "missing required setting 'T' (flag or config file)"),
+        ({"p": 1, "a": 1, "m": 1, "k": 1, "T": 1, "noise_scale": True, "runs": 0.5},
+         "setting 'runs' has a bad value 0.5"),
+    ],
+)
+def test_simulate_reports_settings_in_field_order(tmp_path, capsys, config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_defaults_are_the_config_defaults(tmp_path, capsys):
+    # a null in the config file leaves the setting at its default, as an absent key does
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"outside_option": None, "policy": None, "seeds_base": None}))
+    out = tmp_path / "results"
+    argv = ["simulate", "--config", str(config_path), "--p", "1", "--a", "1", "--m", "1",
+            "--k", "1", "--T", "2", "--runs", "1", "--workers", "1", "--output-dir", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    expected = ExperimentConfig(p=1, a=1, m=1, k=1, T=2, runs=1).record()
+    assert json.loads((out / "config.json").read_text()) == expected
 
 
 def test_simulate_rejects_bad_delta(tmp_path, capsys):

@@ -199,7 +199,7 @@ def _document(tmp_path, name: str, document: dict):
     return path
 
 
-@pytest.mark.parametrize("pairs", [[[0.9, 1]], [[0, 1.5]], [[True, 0]], [[1, False]]])
+@pytest.mark.parametrize("pairs", [[[0.9, 1]], [[0, 1.5]], [[True, 0]], [[1, False]], [["0", 1]]])
 def test_matching_index_must_be_whole(tmp_path, pairs):
     path = _document(tmp_path, "matching.json", {"format": "matching", "version": 1, "pairs": pairs})
     with pytest.raises(FormatError, match="'pairs'.*not a whole number"):
@@ -230,6 +230,26 @@ def test_instance_dimension_must_be_whole(tmp_path, field, value):
     path.write_text(json.dumps(document))
     with pytest.raises(FormatError, match=f"field '{field}' must be a whole number"):
         read_instance(path)
+
+
+@pytest.mark.parametrize("seed", ["abc", "7", 1.5, True, [1]])
+def test_instance_seed_must_be_whole(tmp_path, seed):
+    path = tmp_path / "instance.json"
+    write_instance(generate_instance(1, 1, 1, 1, seed=3), path)
+    document = json.loads(path.read_text())
+    document["seed"] = seed
+    path.write_text(json.dumps(document))
+    with pytest.raises(FormatError, match="field 'seed' must be a whole number"):
+        read_instance(path)
+
+
+@pytest.mark.parametrize(("seed", "expected"), [(None, None), (7, 7), (7.0, 7)])
+def test_instance_seed_is_null_or_whole(tmp_path, seed, expected):
+    path = _document(tmp_path, "instance.json", _instance_document(seed=seed))
+    loaded = read_instance(path)
+    assert loaded.seed == expected and type(loaded.seed) is type(expected)
+    write_instance(loaded, path)
+    assert json.loads(path.read_text())["seed"] == expected
 
 
 @pytest.mark.parametrize("alias", ["01", "+1", " 1", "1_0", "-0"])

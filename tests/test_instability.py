@@ -90,22 +90,18 @@ def assert_subsidies_stabilize(instance, matching, strategies, report, tol=1e-8)
     s = report.subsidies.amounts
     assert all(amount >= 0.0 for amount in s.values())
     assert report.value == pytest.approx(sum(s.values()), abs=1e-12)
-    for agent in instance.agents():
-        boosted = realized[agent] + s[agent]
-        assert boosted >= instance.outside_option(agent) - tol
-        partner = matching.partner_of(agent)
-        if partner is not None:
-            own = (
-                values[agent.index, partner]
-                if agent.side is Side.LEFT
-                else -values[partner, agent.index]
-            )
-            assert boosted >= own - tol
-    for i in range(instance.p):
-        for j in range(instance.a):
-            gain_left = values[i, j] - (realized[AgentId.left(i)] + s[AgentId.left(i)])
-            gain_right = -values[i, j] - (realized[AgentId.right(j)] + s[AgentId.right(j)])
-            assert min(gain_left, gain_right) <= tol
+    lefts = [AgentId.left(i) for i in range(instance.p)]
+    rights = [AgentId.right(j) for j in range(instance.a)]
+    boosted_left = np.array([realized[agent] + s[agent] for agent in lefts])
+    boosted_right = np.array([realized[agent] + s[agent] for agent in rights])
+    assert (boosted_left >= instance.left_outside - tol).all()
+    assert (boosted_right >= instance.right_outside - tol).all()
+    for i, j in matching.pairs:
+        assert boosted_left[i] >= values[i, j] - tol
+        assert boosted_right[j] >= -values[i, j] - tol
+    gain_left = values - boosted_left[:, None]
+    gain_right = -values - boosted_right[None, :]
+    assert (np.minimum(gain_left, gain_right) <= tol).all()
 
 
 def test_example_equilibrium_scores_zero():

@@ -12,6 +12,7 @@ from matchgames.market import (
     Matching,
     PreferenceProfile,
     Side,
+    StabilityReport,
     UtilityTable,
     deferred_acceptance,
     generate_instance,
@@ -166,16 +167,13 @@ def test_deferred_acceptance_is_proposer_optimal():
         prefs = preferences_from_values(values, -values.T, outside, outside)
         stable = [m for m in all_matchings(3, 3) if is_stable(utilities, m).stable]
         assert stable, "every market has at least one stable matching"
-        for side, proposers in ((Side.LEFT, range(3)), (Side.RIGHT, range(3))):
+        for side in Side:
             result = deferred_acceptance(prefs, side)
             assert is_stable(utilities, result).stable
-            make = AgentId.left if side is Side.LEFT else AgentId.right
+            # every proposer does at least as well as in any stable matching
+            proposers = utilities.current(result)[side]
             for other in stable:
-                for idx in proposers:
-                    agent = make(idx)
-                    assert utilities.current(agent, result) >= utilities.current(
-                        agent, other
-                    ) - 1e-12
+                assert (proposers >= utilities.current(other)[side] - 1e-12).all()
 
 
 def test_deferred_acceptance_is_equivariant_under_relabelling():
@@ -215,11 +213,14 @@ def test_matching_rejects_overlaps():
 def test_matching_lookups():
     matching = Matching(((1, 0), (0, 2)))
     assert matching.pairs == ((0, 2), (1, 0))
-    assert matching.right_partner_of(1) == 0
-    assert matching.left_partner_of(2) == 0
-    assert matching.partner_of(AgentId.left(0)) == 2
-    assert matching.partner_of(AgentId.right(1)) is None
     assert len(matching) == 2
+    # valued by partner index, a table reads each agent's partner, -1.0 if unmatched
+    by_index = UtilityTable(
+        np.tile(np.arange(3.0), (2, 1)), np.tile(np.arange(2.0), (3, 1)), (-1.0,) * 2, (-1.0,) * 3
+    )
+    left, right = by_index.current(matching)
+    assert left.tolist() == [2.0, 0.0]
+    assert right.tolist() == [1.0, -1.0, 0.0]
 
 
 def test_preference_profile_validation():
@@ -318,9 +319,71 @@ def test_instance_validation():
 
 def test_utility_table_lookups():
     utilities = example_utilities()
-    matching = Matching(((0, 1),))
-    assert utilities.current(AgentId.left(0), matching) == 0.0
-    assert utilities.current(AgentId.right(1), matching) == 0.0
-    # unmatched agents fall back to their outside option
-    assert utilities.current(AgentId.left(1), matching) == EXAMPLE_OUTSIDE
-    assert utilities.outside(AgentId.right(0)) == EXAMPLE_OUTSIDE
+    left, right = utilities.current(Matching(((0, 1),)))
+    # L0 and R1 read their pair's entries; unmatched agents fall back to their outside option
+    assert left.tolist() == [0.0, EXAMPLE_OUTSIDE]
+    assert right.tolist() == [EXAMPLE_OUTSIDE, 0.0]
+    with pytest.raises(DimensionError):
+        utilities.current(Matching(((0, 2),)))
+
+
+def _outside_by_agent(utilities: UtilityTable, agent: AgentId) -> float:
+    """The former UtilityTable.outside."""
+    outside = utilities.left_outside if agent.side is Side.LEFT else utilities.right_outside
+    return float(outside[agent.index])
+
+
+def _current_by_agent(utilities: UtilityTable, agent: AgentId, matching: Matching) -> float:
+    """The former per-agent UtilityTable.current: the partner's entry, else the outside option."""
+    if agent.side is Side.LEFT:
+        table, partners = utilities.left, dict(matching.pairs)
+    else:
+        table, partners = utilities.right, {j: i for i, j in matching.pairs}
+    partner = partners.get(agent.index)
+    if partner is None:
+        return _outside_by_agent(utilities, agent)
+    return float(table[agent.index, partner])
+
+
+def _is_stable_by_agent(utilities: UtilityTable, matching: Matching, tol: float) -> StabilityReport:
+    """The former is_stable, one agent and one cross pair at a time."""
+    p, a = utilities.left.shape
+    agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
+    matched = {AgentId.left(i) for i, _ in matching.pairs} | {AgentId.right(j) for _, j in matching.pairs}
+    current = {agent: _current_by_agent(utilities, agent, matching) for agent in agents}
+    ir = [
+        agent for agent in agents
+        if agent in matched and current[agent] < _outside_by_agent(utilities, agent) - tol
+    ]
+    blocking = [
+        (i, j)
+        for i in range(p)
+        for j in range(a)
+        if utilities.left[i, j] > current[AgentId.left(i)] + tol
+        and utilities.right[j, i] > current[AgentId.right(j)] + tol
+    ]
+    return StabilityReport(not ir and not blocking, tuple(ir), tuple(blocking))
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "gaussian"])
+def test_stability_check_matches_its_per_agent_definition(integer):
+    rng = np.random.default_rng(23 if integer else 24)
+
+    def draw(*shape: int) -> np.ndarray:
+        if integer:  # ties between entries, and with the outside options
+            return rng.integers(-2, 3, size=shape).astype(float)
+        return rng.standard_normal(shape)
+
+    for _ in range(150):
+        p, a = (int(n) for n in rng.integers(1, 7, size=2))
+        utilities = UtilityTable(draw(p, a), draw(a, p), draw(p), draw(a))
+        for size in sorted({0, int(rng.integers(0, min(p, a) + 1)), min(p, a)}):
+            pairs = zip(rng.permutation(p)[:size].tolist(), rng.permutation(a)[:size].tolist())
+            matching = Matching(tuple(pairs))
+            left, right = utilities.current(matching)
+            expected_left = [_current_by_agent(utilities, AgentId.left(i), matching) for i in range(p)]
+            expected_right = [_current_by_agent(utilities, AgentId.right(j), matching) for j in range(a)]
+            assert left.tobytes() == np.array(expected_left).tobytes()
+            assert right.tobytes() == np.array(expected_right).tobytes()
+            for tol in (0.0, 1e-9, 0.5):
+                assert is_stable(utilities, matching, tol) == _is_stable_by_agent(utilities, matching, tol)

@@ -1,9 +1,9 @@
 """Print sha256 digests of matchgames' outputs on a fixed corpus.
 
 Two checkouts whose digests agree produce the same traces to the last byte:
-every field of every StepRecord (strategies by dtype, shape and bytes; every
-scalar with its type and repr), every instability report, every game
-solution, and the files run_experiment writes at workers 1 and 2.
+every compared field of every StepRecord (strategies by dtype, shape and
+bytes; every scalar with its type and repr), every instability report,
+every game solution, and the files run_experiment writes at workers 1 and 2.
 
     python3 tools/trace_digest.py [SRC]
 
@@ -69,7 +69,8 @@ def canonical(value):
     if isinstance(value, (tuple, list)):
         return (type(value).__name__, tuple(canonical(v) for v in value))
     if dataclasses.is_dataclass(value):
-        fields = dataclasses.fields(value)
+        # a record's value is its compared fields; a derived cache is not part of it
+        fields = [f for f in dataclasses.fields(value) if f.compare]
         return (type(value).__name__, tuple(canonical(getattr(value, f.name)) for f in fields))
     return (type(value).__name__, repr(value))
 
