@@ -31,7 +31,6 @@ from .instability import (
     matching_instability,
     oracle_mi,
     realized_utilities,
-    single_pair_deviation,
     subset_instability,
 )
 from .learning import (
@@ -50,11 +49,9 @@ from .market import (
     Matching,
     PreferenceProfile,
     Side,
-    StabilityReport,
     UtilityTable,
     deferred_acceptance,
     generate_instance,
-    is_stable,
     preferences_from_values,
 )
 
@@ -77,7 +74,6 @@ __all__ = [
     "RegretTrace",
     "Side",
     "SolverError",
-    "StabilityReport",
     "StepRecord",
     "SubsidyVector",
     "UtilityTable",
@@ -87,7 +83,6 @@ __all__ = [
     "deferred_acceptance",
     "game_value",
     "generate_instance",
-    "is_stable",
     "matching_instability",
     "maximin",
     "oracle_mi",
@@ -98,7 +93,6 @@ __all__ = [
     "realized_utilities",
     "run_episode",
     "run_experiment",
-    "single_pair_deviation",
     "solve_game",
     "solve_lp",
     "subset_instability",

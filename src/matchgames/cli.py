@@ -43,13 +43,22 @@ def _print(record: dict) -> None:
 
 
 def _real(value) -> float:
-    if isinstance(value, bool):
+    """value as a float; a string or a bool is refused, not parsed or read as 1.0 or 0.0."""
+    if isinstance(value, (bool, str)):
         raise ValueError(value)
     return float(value)
 
 
 def _parse_delta(raw) -> float | None:
     return None if raw == "auto" else _real(raw)
+
+
+def _delta_flag(text: str) -> str | float:
+    """--delta's text: 'auto' as it is, anything else read as a float."""
+    try:
+        return text if text == "auto" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
 
 
 # how each ExperimentConfig field is read from its flag or config key; the
@@ -90,7 +99,7 @@ def _cmd_simulate(args) -> int:
             continue
         try:
             settings[key] = _SETTINGS[key](value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InputError(f"setting {key!r} has a bad value {value!r}") from None
     config = ExperimentConfig(**settings)
     trace = run_experiment(config)
@@ -106,15 +115,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen_instance(args) -> int:
-    instance = generate_instance(
-        args.p,
-        args.a,
-        args.m,
-        args.k,
-        generator=Generator(args.generator),
-        outside_option=args.outside_option,
-        seed=args.seed,
-    )
+    # only the flags given: the defaults live in generate_instance alone
+    options = {key: value for key in ("outside_option", "seed") if (value := getattr(args, key)) is not None}
+    if args.generator is not None:
+        options["generator"] = Generator(args.generator)
+    instance = generate_instance(args.p, args.a, args.m, args.k, **options)
     write_instance(instance, args.output)
     return 0
 
@@ -185,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--policy", choices=[policy.value for policy in Policy])
     sim.add_argument("--generator", choices=[gen.value for gen in Generator])
     sim.add_argument("--outside-option", type=float, dest="outside_option")
-    sim.add_argument("--delta", help="confidence level in (0,1) or 'auto'")
+    sim.add_argument("--delta", type=_delta_flag, help="confidence level in (0,1) or 'auto'")
     sim.add_argument("--noise-scale", type=float, dest="noise_scale")
     sim.add_argument("--output-dir", dest="output_dir", help=f"defaults to ${OUTPUT_DIR_ENV}")
     sim.add_argument("--config", help="JSON file with the same keys; flags win")
@@ -194,10 +199,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-instance", help="draw a random market instance file")
     for key in ("p", "a", "m", "k"):
         gen.add_argument(f"--{key}", type=int, required=True)
-    gen.add_argument("--generator", choices=[g.value for g in Generator],
-                     default=Generator.GAUSSIAN_UNIT.value)
-    gen.add_argument("--outside-option", type=float, dest="outside_option", default=-1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--generator", choices=[g.value for g in Generator])
+    gen.add_argument("--outside-option", type=float, dest="outside_option")
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--output", required=True)
     gen.set_defaults(func=_cmd_gen_instance)
 

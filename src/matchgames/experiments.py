@@ -201,45 +201,44 @@ def run_experiment(config: ExperimentConfig) -> RegretTrace:
     return RegretTrace(config=config, cumulative=cumulative, mean=mean, std=std, bound=bound)
 
 
-def read_trace_file(path) -> list[dict]:
-    """Parse one per-run trace CSV back into typed records."""
+def _read_rows(path, header: tuple, kind: str, parse) -> list[dict]:
+    """Each row of a CSV file with the given header, parsed; a foreign header, a
+    short or long row, or a field that does not convert is a FormatError."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != TRACE_HEADER:
-            raise FormatError(f"{path}: unexpected trace header {header!r}")
+        found = tuple(next(reader, ()))
+        if found != header:
+            raise FormatError(f"{path}: unexpected {kind} header {found!r}")
         rows = []
         for row in reader:
-            if len(row) != len(TRACE_HEADER):
-                raise FormatError(f"{path}: malformed row {row!r}")
-            rows.append(
-                {
-                    "run_id": int(row[0]),
-                    "t": int(row[1]),
-                    "matching": parse_matching_field(row[2]),
-                    "mi": float(row[3]),
-                    "cumulative_mi": float(row[4]),
-                    "event_ok": bool(int(row[5])),
-                }
-            )
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise FormatError(f"{path}: malformed row {row!r}: {exc}") from exc
     return rows
 
 
+def read_trace_file(path) -> list[dict]:
+    """Parse one per-run trace CSV back into typed records."""
+    return _read_rows(path, TRACE_HEADER, "trace", lambda row: {
+        "run_id": int(row[0]),
+        "t": int(row[1]),
+        "matching": parse_matching_field(row[2]),
+        "mi": float(row[3]),
+        "cumulative_mi": float(row[4]),
+        "event_ok": bool(int(row[5])),
+    })
+
+
 def read_aggregate_file(path) -> list[dict]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != AGGREGATE_HEADER:
-            raise FormatError(f"{path}: unexpected aggregate header {header!r}")
-        return [
-            {
-                "t": int(row[0]),
-                "mean_cum_mi": float(row[1]),
-                "std_cum_mi": float(row[2]),
-                "bound": float(row[3]),
-            }
-            for row in reader
-        ]
+    return _read_rows(path, AGGREGATE_HEADER, "aggregate", lambda row: {
+        "t": int(row[0]),
+        "mean_cum_mi": float(row[1]),
+        "std_cum_mi": float(row[2]),
+        "bound": float(row[3]),
+    })
 
 
 def audit(instance_path, matching_path, strategies_path) -> InstabilityReport:

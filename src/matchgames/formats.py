@@ -75,11 +75,20 @@ def _holds_bool(value) -> bool:
 
 
 def _reals(value, label: str) -> np.ndarray:
-    """value as a float array, refusing true and false, which it would hold as 1.0 or 0.0."""
-    array = np.asarray(value, dtype=float)
-    if ((array == 1.0) | (array == 0.0)).any() and _holds_bool(value):
+    """value as a float array. Only JSON numbers are read: a string is refused
+    rather than parsed, and true or false rather than held as 1.0 or 0.0."""
+    array = np.asarray(value)
+    if array.dtype.kind == "O" and {type(item) for item in array.flat} <= {int, float}:
+        try:  # an integer beyond int64 leaves numpy holding Python ints
+            array = array.astype(float)
+        except OverflowError:
+            raise ValueError(f"{label} holds a number beyond the float range") from None
+    numeric = array.dtype.kind in "iuf"
+    if (not numeric or ((array == 1.0) | (array == 0.0)).any()) and _holds_bool(value):
         raise ValueError(f"{label} must hold numbers, not true or false")
-    return array
+    if not numeric:
+        raise ValueError(f"{label} must hold numbers, not strings, null or objects")
+    return array.astype(float, copy=False)
 
 
 def _whole_field(document: dict, path, name: str) -> int:
@@ -216,15 +225,18 @@ def read_preferences(path) -> PreferenceProfile:
             lists[name] = tuple(tuple(_whole(index) for index in lst) for lst in raw)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: field {name!r}: bad preference lists: {exc}") from exc
-        if _holds_bool(document.get(f"{name}_threshold")):
-            raise FormatError(f"{path}: field '{name}_threshold' must hold numbers, not true or false")
+
+    def thresholds(name: str) -> tuple:
+        raw = document.get(f"{name}_threshold")
+        return () if raw is None else tuple(_reals(raw, f"field '{name}_threshold'").tolist())
+
     try:
         # PreferenceProfile fills missing thresholds with zeros
         return PreferenceProfile(
             left=lists["left"],
             right=lists["right"],
-            left_threshold=tuple(float(v) for v in document.get("left_threshold") or ()),
-            right_threshold=tuple(float(v) for v in document.get("right_threshold") or ()),
+            left_threshold=thresholds("left"),
+            right_threshold=thresholds("right"),
         )
     except (InputError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad preference lists: {exc}") from exc

@@ -341,18 +341,6 @@ def subset_instability(
     return _audit(utilities.left, utilities.right, matching, current, outside, tol)
 
 
-def single_pair_deviation(instance: MarketInstance, strategies: dict) -> float:
-    """Instability of the only possible matching in a 1x1 market.
-
-    With one agent per side and both participating, the metric collapses to
-    the absolute gap between the pair's game value and the realized payoff.
-    """
-    if instance.p != 1 or instance.a != 1:
-        raise InputError(f"single_pair_deviation needs a 1x1 market, got {instance.p}x{instance.a}")
-    realized = realized_utilities(instance, Matching(((0, 0),)), strategies)
-    return abs(game_value(instance.games[0, 0]) - realized[AgentId.left(0)])
-
-
 def oracle_mi(instance: MarketInstance, matching: Matching, strategies: dict) -> float:
     """Exact instability by exhaustive search, without the min-cut cover solver.
 

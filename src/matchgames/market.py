@@ -200,13 +200,6 @@ class UtilityTable:
         return left, right
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    ir_violations: tuple[AgentId, ...]
-    blocking_pairs: tuple[tuple[int, int], ...]
-
-
 def preferences_from_values(
     left_values, right_values, left_outside, right_outside
 ) -> PreferenceProfile:
@@ -272,32 +265,6 @@ def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LE
     else:
         pairs = [(receiver, proposer) for receiver, proposer in held.items()]
     return Matching(tuple(pairs))
-
-
-def is_stable(utilities: UtilityTable, matching: Matching, tol: float = 1e-9) -> StabilityReport:
-    """Check individual rationality and absence of blocking pairs.
-
-    A pair blocks when both members would gain strictly more than tol over
-    their current assignment; an IR violation is a matched agent worse off
-    than its outside option by more than tol.
-    """
-    current_left, current_right = utilities.current(matching)
-    ir = [
-        AgentId.left(i) for i, _ in matching.pairs
-        if current_left[i] < utilities.left_outside[i] - tol
-    ] + [
-        AgentId.right(j) for j in sorted(j for _, j in matching.pairs)
-        if current_right[j] < utilities.right_outside[j] - tol
-    ]
-    blocking = np.argwhere(
-        (utilities.left > current_left[:, None] + tol)
-        & (utilities.right.T > current_right[None, :] + tol)
-    ).tolist()
-    return StabilityReport(
-        stable=not ir and not blocking,
-        ir_violations=tuple(ir),
-        blocking_pairs=tuple(map(tuple, blocking)),
-    )
 
 
 def generate_instance(

@@ -18,7 +18,7 @@ from matchgames.formats import (
     write_strategy_profile,
 )
 from matchgames.games import oracle_solve_game
-from matchgames.market import AgentId, Matching, PreferenceProfile
+from matchgames.market import AgentId, Matching, PreferenceProfile, generate_instance
 
 
 @pytest.fixture
@@ -64,16 +64,24 @@ def test_solve_game_rejects_ragged_matrix(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["--matrix", "--file"])
-def test_solve_game_refuses_bool_entries(tmp_path, capsys, source):
-    matrix = "[[true, false], [false, true]]"
+@pytest.mark.parametrize(
+    ("source", "matrix", "refused"),
+    [
+        ("--matrix", "[[true, false], [false, true]]", "true or false"),
+        ("--file", "[[true, false], [false, true]]", "true or false"),
+        ("--matrix", '[["1", "-1"], ["-1", "1"]]', "strings"),
+        ("--file", '[["1", "-1"], ["-1", "1"]]', "strings"),
+    ],
+    ids=["--matrix", "--file", "--matrix-strings", "--file-strings"],
+)
+def test_solve_game_refuses_bool_entries(tmp_path, capsys, source, matrix, refused):
     if source == "--file":
         path = tmp_path / "game.json"
         path.write_text(matrix)
         matrix = str(path)
     assert main(["solve-game", source, matrix]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "matrix" in captured.err and "true or false" in captured.err
+    assert captured.out == "" and "matrix" in captured.err and refused in captured.err
 
 
 @pytest.mark.parametrize("command", ["matrix", "file", "config"])
@@ -108,6 +116,15 @@ def test_solve_game_solver_failure_is_input_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: game solver failed") and err.count("\n") == 1
     assert "magnitude" in err
+
+
+def test_gen_instance_defaults_are_generate_instance_defaults(tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert main(["gen-instance", "--p", "2", "--a", "2", "--m", "2", "--k", "2", "--output", str(out)]) == 0
+    capsys.readouterr()
+    expected = tmp_path / "expected.json"
+    write_instance(generate_instance(2, 2, 2, 2), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_gen_instance_round_trips(tmp_path, capsys):
@@ -179,29 +196,37 @@ def test_audit_truncating_integer_is_input_error(audit_files, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    ("document", "field"),
+    ("document", "field", "bad", "refused"),
     [
-        ("instance", "'games'"),
-        ("instance", "'outside_options.right'"),
-        ("strategies", "left agent '1'"),
+        ("instance", "'games'", True, "true or false"),
+        ("instance", "'outside_options.right'", False, "true or false"),
+        ("strategies", "left agent '1'", True, "true or false"),
+        ("instance", "'games'", "1.0", "strings"),
+        ("instance", "'outside_options.right'", "-0.5", "strings"),
+        ("strategies", "left agent '1'", "1", "strings"),
+    ],
+    ids=[
+        "instance-'games'", "instance-'outside_options.right'", "strategies-left agent '1'",
+        "instance-'games'-string", "instance-'outside_options.right'-string",
+        "strategies-left agent '1'-string",
     ],
 )
-def test_audit_bool_number_is_input_error(audit_files, tmp_path, capsys, document, field):
+def test_audit_bool_number_is_input_error(audit_files, tmp_path, capsys, document, field, bad, refused):
     paths = dict(zip(("instance", "matching", "strategies"), audit_files))
     record = json.loads(open(paths[document]).read())
     if field == "'games'":
-        record["games"][0][1] = [[True]]
+        record["games"][0][1] = [[bad]]
     elif document == "instance":
-        record["outside_options"]["right"][0] = False
+        record["outside_options"]["right"][0] = bad
     else:
-        record["left"]["1"] = [True]
+        record["left"]["1"] = [bad]
     paths[document] = str(tmp_path / f"bad_{document}.json")
     with open(paths[document], "w") as handle:
         json.dump(record, handle)
     argv = ["audit", *(f"--{name}={path}" for name, path in paths.items())]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and field in captured.err and "true or false" in captured.err
+    assert captured.out == "" and field in captured.err and refused in captured.err
 
 
 def test_match_bool_threshold_is_input_error(tmp_path, capsys):
@@ -212,6 +237,13 @@ def test_match_bool_threshold_is_input_error(tmp_path, capsys):
     assert main(["match", "--preferences", str(prefs_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "'right_threshold'" in captured.err
+    # a string is refused too, not parsed as the number it spells
+    prefs_path.write_text(
+        '{"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": ["0.25"]}'
+    )
+    assert main(["match", "--preferences", str(prefs_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'left_threshold'" in captured.err and "strings" in captured.err
 
 
 def test_audit_reports_instability(audit_files, capsys):
@@ -317,7 +349,11 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
      ("p", 1.5), ("a", True), ("m", 1.9), ("k", True), ("T", 2.5), ("runs", 1.5),
      ("seeds_base", 0.5), ("workers", True), ("T", float("inf")),
      # bools, which float() reads as 0.0 or 1.0
-     ("outside_option", True), ("noise_scale", False), ("delta", True), ("delta", False)],
+     ("outside_option", True), ("noise_scale", False), ("delta", True), ("delta", False),
+     # strings, which float() would parse
+     ("outside_option", "-1.0"), ("noise_scale", "0.5"), ("delta", "0.1"),
+     # an integer beyond the float range
+     pytest.param("noise_scale", 10**400, id="noise_scale-huge")],
 )
 def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
     config = {"p": 1, "a": 1, "m": 1, "k": 1, "T": 2, "runs": 1, "workers": 1,
@@ -328,6 +364,15 @@ def test_simulate_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key,
     assert main(["simulate", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+
+
+def test_simulate_reads_the_delta_flag_as_a_number(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["simulate", "--p", "1", "--a", "1", "--m", "1", "--k", "1", "--T", "2",
+            "--runs", "1", "--workers", "1", "--delta", "0.25", "--output-dir", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads((out / "config.json").read_text())["delta"] == 0.25
 
 
 def test_simulate_requires_market_dimensions(capsys):

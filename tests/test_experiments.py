@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from matchgames.errors import FormatError, InputError
 from matchgames.experiments import (
     AGGREGATE_FILENAME,
+    AGGREGATE_HEADER,
     CONFIG_FILENAME,
+    TRACE_HEADER,
     ExperimentConfig,
     parse_matching_field,
     read_aggregate_file,
@@ -147,6 +150,23 @@ def test_trace_reader_rejects_foreign_headers(tmp_path):
         read_trace_file(path)
     with pytest.raises(FormatError):
         read_aggregate_file(path)
+
+
+@pytest.mark.parametrize(
+    ("reader", "header", "row"),
+    [
+        (read_aggregate_file, AGGREGATE_HEADER, "1,0.5"),
+        (read_aggregate_file, AGGREGATE_HEADER, "1,x,0.0,1.0"),
+        (read_trace_file, TRACE_HEADER, "0,x,0-0,0.5,0.5,1"),
+        (read_trace_file, TRACE_HEADER, "0,1,0-x,0.5,0.5,1"),
+    ],
+    ids=["aggregate-short", "aggregate-float", "trace-int", "trace-matching"],
+)
+def test_trace_readers_name_the_path_and_row_of_a_malformed_row(tmp_path, reader, header, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(header) + "\n" + row + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: malformed row {row.split(',')!r}")):
+        reader(path)
 
 
 def test_config_validation():

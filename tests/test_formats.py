@@ -278,35 +278,63 @@ def _instance_document(**changes) -> dict:
 
 
 @pytest.mark.parametrize(
-    ("reader", "document", "field"),
+    ("reader", "document", "field", "refused"),
     [
-        (read_instance, _instance_document(games=[[[[0.5, True]]]]), "field 'games'"),
-        (read_instance, _instance_document(games=[[[[False, 1.0]]]]), "field 'games'"),
+        (read_instance, _instance_document(games=[[[[0.5, True]]]]), "field 'games'", "true or false"),
+        (read_instance, _instance_document(games=[[[[False, 1.0]]]]), "field 'games'", "true or false"),
         (read_instance, _instance_document(outside_options={"left": [False], "right": [-1.0]}),
-         "field 'outside_options.left'"),
+         "field 'outside_options.left'", "true or false"),
         (read_instance, _instance_document(outside_options={"left": [-1.0], "right": True}),
-         "field 'outside_options.right'"),
+         "field 'outside_options.right'", "true or false"),
         (read_strategy_profile, {"format": "strategy-profile", "version": 1, "left": {"0": [True]}, "right": {}},
-         "left agent '0'"),
+         "left agent '0'", "true or false"),
         (read_strategy_profile,
          {"format": "strategy-profile", "version": 1, "left": {}, "right": {"1": [0.0, False, 1.0]}},
-         "right agent '1'"),
+         "right agent '1'", "true or false"),
         (read_preferences,
          {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": [True]},
-         "field 'left_threshold'"),
+         "field 'left_threshold'", "true or false"),
         (read_preferences,
          {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": False},
-         "field 'right_threshold'"),
+         "field 'right_threshold'", "true or false"),
+        # a string is refused, not parsed, even when it spells a number
+        (read_instance, _instance_document(games=[[[["0.5", "-0.5"]]]]), "field 'games'", "strings"),
+        (read_instance, _instance_document(games=[[[[0.5, "-0.5"]]]]), "field 'games'", "strings"),
+        (read_instance, _instance_document(outside_options={"left": ["-1"], "right": [-1.0]}),
+         "field 'outside_options.left'", "strings"),
+        (read_instance, _instance_document(outside_options={"left": [-1.0], "right": "-1"}),
+         "field 'outside_options.right'", "strings"),
+        (read_strategy_profile, {"format": "strategy-profile", "version": 1, "left": {"0": ["1"]}, "right": {}},
+         "left agent '0'", "strings"),
+        (read_preferences,
+         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": ["0.25"]},
+         "field 'left_threshold'", "strings"),
+        (read_preferences,
+         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": "0"},
+         "field 'right_threshold'", "strings"),
     ],
     ids=[
         "games-true", "games-false", "outside-left", "outside-right",
         "strategy-left", "strategy-right", "left-threshold", "right-threshold",
+        "games-strings", "games-string", "outside-left-string", "outside-right-string",
+        "strategy-left-string", "left-threshold-string", "right-threshold-string",
     ],
 )
-def test_bool_is_not_read_as_a_number(tmp_path, reader, document, field):
+def test_bool_is_not_read_as_a_number(tmp_path, reader, document, field, refused):
     path = _document(tmp_path, "document.json", document)
-    with pytest.raises(FormatError, match=re.escape(field) + ".*not true or false"):
+    with pytest.raises(FormatError, match=re.escape(field) + ".*not " + refused):
         reader(path)
+
+
+def test_integers_beyond_int64_are_read_as_numbers(tmp_path):
+    # numpy holds such an integer as a Python object, so it is checked item by item
+    document = _instance_document(games=[[[[2**70, 0.5]]]], outside_options={"left": [-1], "right": [-(2**64)]})
+    instance = read_instance(_document(tmp_path, "instance.json", document))
+    assert instance.games.tolist() == [[[[float(2**70), 0.5]]]]
+    assert instance.right_outside.tolist() == [-float(2**64)]
+    document = _instance_document(games=[[[[10**400, 0.5]]]])
+    with pytest.raises(FormatError, match="field 'games' holds a number beyond the float range"):
+        read_instance(_document(tmp_path, "huge.json", document))
 
 
 def test_numbers_equal_to_one_and_zero_are_read(tmp_path):

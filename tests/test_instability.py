@@ -20,7 +20,6 @@ from matchgames.instability import (
     matching_instability,
     oracle_mi,
     realized_utilities,
-    single_pair_deviation,
     subset_instability,
 )
 from matchgames.market import (
@@ -147,7 +146,10 @@ def test_value_rationality_floor_and_tag():
     assert report.value == pytest.approx(1.0, abs=1e-12)
     assert report.binding[AgentId.right(0)] == TAG_VALUE_GAP
     assert report.binding[AgentId.left(0)] == TAG_NONE
-    assert single_pair_deviation(instance, profile) == pytest.approx(1.0, abs=1e-12)
+    realized = realized_utilities(instance, Matching(((0, 0),)), profile)
+    assert abs(game_value(instance.games[0, 0]) - realized[AgentId.left(0)]) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_binding_tag_is_the_larger_floor_term_with_ties_to_participation():
@@ -251,8 +253,11 @@ def test_one_by_one_markets_reduce_to_value_gap():
             AgentId.right(0): rng.dirichlet(np.ones(2)),
         }
         # outside option of -5 keeps participation slack, isolating the gap
-        mi = matching_instability(instance, Matching(((0, 0),)), profile)
-        assert mi.value == pytest.approx(single_pair_deviation(instance, profile), abs=1e-12)
+        matching = Matching(((0, 0),))
+        mi = matching_instability(instance, matching, profile)
+        realized = realized_utilities(instance, matching, profile)
+        expected = abs(game_value(instance.games[0, 0]) - realized[AgentId.left(0)])
+        assert mi.value == pytest.approx(expected, abs=1e-12)
 
 
 def test_equilibrium_play_on_stable_matching_scores_exact_zero():

@@ -5,6 +5,7 @@ import pytest
 from conftest import EXAMPLE_OUTSIDE, EXAMPLE_VALUES, all_matchings
 
 from matchgames.errors import DimensionError, InputError
+from matchgames.instability import TAG_COVER, TAG_NONE, TAG_PARTICIPATION, subset_instability
 from matchgames.market import (
     AgentId,
     Generator,
@@ -12,11 +13,9 @@ from matchgames.market import (
     Matching,
     PreferenceProfile,
     Side,
-    StabilityReport,
     UtilityTable,
     deferred_acceptance,
     generate_instance,
-    is_stable,
     preferences_from_values,
 )
 
@@ -132,22 +131,22 @@ def test_deferred_acceptance_on_example():
 
 
 def test_example_matching_is_stable():
-    report = is_stable(example_utilities(), Matching(((0, 1),)))
-    assert report.stable
-    assert report.ir_violations == ()
-    assert report.blocking_pairs == ()
+    report = subset_instability(example_utilities(), Matching(((0, 1),)))
+    assert report.value == 0.0
+    assert set(report.binding.values()) == {TAG_NONE}
+    assert report.active_pairs == ()
 
 
 def test_blocking_pair_and_ir_detection():
     utilities = example_utilities()
     # L0 matched to R0 sits at 1.0 but R0 gets -1.0 < -0.5: IR violation
-    report = is_stable(utilities, Matching(((0, 0),)))
-    assert not report.stable
-    assert AgentId.right(0) in report.ir_violations
+    report = subset_instability(utilities, Matching(((0, 0),)))
+    assert report.value > 0.0
+    assert report.binding[AgentId.right(0)] == TAG_PARTICIPATION
     # leaving everyone unmatched makes (L0, R1) a blocking pair
-    report = is_stable(utilities, Matching(()))
-    assert not report.stable
-    assert (0, 1) in report.blocking_pairs
+    report = subset_instability(utilities, Matching(()))
+    assert report.value > 0.0
+    assert (0, 1) in report.active_pairs
 
 
 def test_identical_values_give_assortative_matching():
@@ -165,11 +164,11 @@ def test_deferred_acceptance_is_proposer_optimal():
         outside = (-0.2,) * 3
         utilities = UtilityTable(values, -values.T, outside, outside)
         prefs = preferences_from_values(values, -values.T, outside, outside)
-        stable = [m for m in all_matchings(3, 3) if is_stable(utilities, m).stable]
+        stable = [m for m in all_matchings(3, 3) if subset_instability(utilities, m).value == 0.0]
         assert stable, "every market has at least one stable matching"
         for side in Side:
             result = deferred_acceptance(prefs, side)
-            assert is_stable(utilities, result).stable
+            assert subset_instability(utilities, result).value == 0.0
             # every proposer does at least as well as in any stable matching
             proposers = utilities.current(result)[side]
             for other in stable:
@@ -345,8 +344,13 @@ def _current_by_agent(utilities: UtilityTable, agent: AgentId, matching: Matchin
     return float(table[agent.index, partner])
 
 
-def _is_stable_by_agent(utilities: UtilityTable, matching: Matching, tol: float) -> StabilityReport:
-    """The former is_stable, one agent and one cross pair at a time."""
+def _is_stable_by_agent(utilities: UtilityTable, matching: Matching, tol: float) -> tuple:
+    """Gale-Shapley stability, one agent and one cross pair at a time.
+
+    Returns (stable, IR violators, blocking pairs): a matched agent below its
+    outside option by more than tol violates IR, and a cross pair blocks when
+    both members would gain more than tol.
+    """
     p, a = utilities.left.shape
     agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
     matched = {AgentId.left(i) for i, _ in matching.pairs} | {AgentId.right(j) for _, j in matching.pairs}
@@ -362,7 +366,7 @@ def _is_stable_by_agent(utilities: UtilityTable, matching: Matching, tol: float)
         if utilities.left[i, j] > current[AgentId.left(i)] + tol
         and utilities.right[j, i] > current[AgentId.right(j)] + tol
     ]
-    return StabilityReport(not ir and not blocking, tuple(ir), tuple(blocking))
+    return not ir and not blocking, tuple(ir), tuple(blocking)
 
 
 @pytest.mark.parametrize("integer", [True, False], ids=["integer", "gaussian"])
@@ -386,4 +390,11 @@ def test_stability_check_matches_its_per_agent_definition(integer):
             assert left.tobytes() == np.array(expected_left).tobytes()
             assert right.tobytes() == np.array(expected_right).tobytes()
             for tol in (0.0, 1e-9, 0.5):
-                assert is_stable(utilities, matching, tol) == _is_stable_by_agent(utilities, matching, tol)
+                report = subset_instability(utilities, matching, tol)
+                stable, ir, blocking = _is_stable_by_agent(utilities, matching, tol)
+                assert (report.value == 0.0) == stable
+                # an IR violator is raised to its outside option (C2) or, by a cover, past it
+                assert {agent for agent, tag in report.binding.items() if tag == TAG_PARTICIPATION} <= set(ir)
+                assert all(report.binding[agent] in (TAG_PARTICIPATION, TAG_COVER) for agent in ir)
+                if not ir:
+                    assert report.active_pairs == blocking
