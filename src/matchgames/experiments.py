@@ -228,7 +228,7 @@ def read_trace_file(path) -> list[dict]:
         "matching": parse_matching_field(row[2]),
         "mi": float(row[3]),
         "cumulative_mi": float(row[4]),
-        "event_ok": bool(int(row[5])),
+        "event_ok": bool(("0", "1").index(row[5])),  # any other text is refused
     })
 
 

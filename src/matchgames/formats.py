@@ -74,9 +74,9 @@ def _holds_bool(value) -> bool:
     return bool(level)
 
 
-def _reals(value, label: str) -> np.ndarray:
-    """value as a float array. Only JSON numbers are read: a string is refused
-    rather than parsed, and true or false rather than held as 1.0 or 0.0."""
+def _reals(value, label: str, vector: bool = False) -> np.ndarray:
+    """value as a float array, a flat one if vector. Only JSON numbers are read: a
+    string is refused rather than parsed, and true or false rather than held as 1.0 or 0.0."""
     array = np.asarray(value)
     if array.dtype.kind == "O" and {type(item) for item in array.flat} <= {int, float}:
         try:  # an integer beyond int64 leaves numpy holding Python ints
@@ -88,6 +88,8 @@ def _reals(value, label: str) -> np.ndarray:
         raise ValueError(f"{label} must hold numbers, not true or false")
     if not numeric:
         raise ValueError(f"{label} must hold numbers, not strings, null or objects")
+    if vector and array.ndim != 1:
+        raise ValueError(f"{label} must be a flat list of numbers")
     return array.astype(float, copy=False)
 
 
@@ -194,11 +196,9 @@ def read_strategy_profile(path) -> dict:
                     # "01", "+1" or " 1" would alias (and overwrite) agent 1
                     raise ValueError("the key must be a plain decimal index")
                 agent = make(index)
-                out[agent] = _reals(vec, "the strategy")
+                out[agent] = _reals(vec, "the strategy", vector=True)
             except (InputError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad strategy for {side_name} agent {key!r}: {exc}") from exc
-            if out[agent].ndim != 1:
-                raise FormatError(f"{path}: strategy for {side_name} agent {key!r} must be a vector")
     return out
 
 
@@ -228,7 +228,7 @@ def read_preferences(path) -> PreferenceProfile:
 
     def thresholds(name: str) -> tuple:
         raw = document.get(f"{name}_threshold")
-        return () if raw is None else tuple(_reals(raw, f"field '{name}_threshold'").tolist())
+        return () if raw is None else tuple(_reals(raw, f"field '{name}_threshold'", vector=True).tolist())
 
     try:
         # PreferenceProfile fills missing thresholds with zeros

@@ -4,8 +4,9 @@ Payoff matrices are plain float arrays holding the row player's payoff; the
 column player receives the negation. The LP route (maximin, solve_game) is
 the production path: it rescales the payoffs into [1, 3] and solves the
 game's packing LP with ``linprog.solve_lp``, so results do not depend on the
-payoffs' units. oracle_solve_game is an independent enumeration-based
-checker kept for cross-validation and must stay free of the LP machinery.
+payoffs' units; a 2x2 game is scaled, solved and read back on Python floats.
+oracle_solve_game is an independent enumeration-based checker kept for
+cross-validation and must stay free of the LP machinery.
 """
 
 from __future__ import annotations
@@ -70,21 +71,36 @@ def maximin(game) -> tuple[float, np.ndarray]:
     Rescales A by max|A| and shifts it by 2, so B = A/scale + 2 has entries
     in [1, 3] and value v_B in [1, 3]. The dual of the packing LP
     max 1^T w s.t. B w <= 1, w >= 0 is u = x / v_B, so x = u / sum(u) and
-    v_B = 1 / sum(u), whatever the payoffs' units.
+    v_B = 1 / sum(u), whatever the payoffs' units. A 2x2 game is solved on
+    Python floats, which round as numpy's do, so the bits are numpy's.
     """
-    A = as_payoff_matrix(game)
-    if A.shape == (1, 1):
-        # the LP would only add rounding noise to the lone payoff entry
-        return float(A[0, 0]), np.array([1.0])
-    scale = float(np.maximum.reduce(np.abs(A), axis=None)) or 1.0
+    rows = game if (type(game) is list and len(game) == 2 and type(game[0]) is list is type(game[1])
+                    and len(game[0]) == 2 == len(game[1])
+                    and all(type(v) is float and abs(v) < math.inf for v in game[0] + game[1])) else None
+    if rows is None:
+        A = as_payoff_matrix(game)
+        if A.shape == (1, 1):
+            # the LP would only add rounding noise to the lone payoff entry
+            return float(A[0, 0]), np.array([1.0])
+        rows = A.tolist() if A.shape == (2, 2) else None
+    if rows is None:
+        scale = float(np.maximum.reduce(np.abs(A), axis=None)) or 1.0
+        B = A / scale + 2.0
+    else:
+        (a, b), (c, d) = rows
+        scale = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
+        B = [[a / scale + 2.0, b / scale + 2.0], [c / scale + 2.0, d / scale + 2.0]]
     try:
-        _, u = solve_lp(A / scale + 2.0)
+        _, u = solve_lp(B)
     except RuntimeError as exc:
         # unreachable for entries in [1, 3]: an entering column has a positive entry
         raise SolverError(
             f"game solver failed ({exc}) on payoffs of magnitude up to {scale:.3g}"
         ) from exc
-    return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, _normalized(u)
+    if rows is None:
+        return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, _normalized(u)
+    x0, x1 = (0.0 if v <= 0.0 else v for v in u)  # np.maximum(u, 0.0): -0.0 becomes +0.0
+    return (1.0 / (u[0] + u[1]) - 2.0) * scale + 0.0, np.array([x0 / (x0 + x1), x1 / (x0 + x1)])
 
 
 def game_value(game) -> float:

@@ -1,15 +1,15 @@
 """Optimistic bandit learning of matching equilibria under noisy feedback.
 
-Each round makes one pass: the pairs whose statistics changed are scored by
-the minimax value of their upper-confidence payoff matrices, preference
-lists built from those values feed deferred acceptance, and each matched
-pair plays its optimistic maximin strategies and feeds one noisy zero-sum
-reward into a shared left-view estimate table. The three policies differ
-only in the right side's table of preference values and per-pair
-strategies: SELF_PLAY refreshes it from the right side's own optimistic
-maximin, NASH_RESPONSE fills it once from the exact game solutions, and
-BEST_RESPONSE refreshes it with pure best responses to the left side's
-current optimistic strategies.
+Each round makes one pass: the pairs whose statistics changed are scored by the
+minimax value of their upper-confidence payoff matrices (a 2x2 pair's formed
+and solved on Python floats, up to the strategy's array), preference lists
+built from those values feed deferred acceptance, and each matched pair plays
+its optimistic maximin strategies and feeds one noisy zero-sum reward into a
+shared left-view estimate table. The three policies differ only in the right
+side's table of preference values and per-pair strategies: SELF_PLAY refreshes
+it from the right side's own optimistic maximin, NASH_RESPONSE fills it once
+from the exact game solutions, and BEST_RESPONSE refreshes it with pure best
+responses to the left side's current optimistic strategies.
 
 Each matched agent draws its action from a per-pair random stream by
 numpy's Generator.choice rule on Python floats: cumulative sums of the
@@ -94,6 +94,18 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     if side is Side.LEFT:
         return state.means[i, j] + width
     return -state.means[i, j].T + width.T
+
+
+def _optimistic(state: ConfidenceState, i: int, j: int, side: Side = Side.LEFT):
+    """ucb_matrix(state, (i, j), side); a 2x2 pair's as the same Python floats, in lists."""
+    if state.counts.shape[2:] != (2, 2):
+        return ucb_matrix(state, (i, j), side)
+    radius = 2.0 * math.log(1.0 / state.delta)
+    (m00, m01), (m10, m11) = state.means[i, j].tolist()
+    w00, w01, w10, w11 = [math.sqrt(radius / max(n, 1)) for n in state.counts[i, j].ravel().tolist()]
+    if side is Side.LEFT:
+        return [[m00 + w00, m01 + w01], [m10 + w10, m11 + w11]]
+    return [[-m00 + w00, -m10 + w10], [-m01 + w01, -m11 + w11]]
 
 
 def _exploit(game: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -196,11 +208,9 @@ def run_episode(
     for t in range(1, T + 1):
         # Round 1 solves every pair; later rounds only the pairs that played.
         for i, j in refresh:
-            left_value[i, j], left_play[i][j] = maximin(ucb_matrix(state, (i, j)))
+            left_value[i, j], left_play[i][j] = maximin(_optimistic(state, i, j))
             if policy is Policy.SELF_PLAY:
-                right_value[j, i], right_play[j][i] = maximin(
-                    ucb_matrix(state, (i, j), Side.RIGHT)
-                )
+                right_value[j, i], right_play[j][i] = maximin(_optimistic(state, i, j, Side.RIGHT))
             elif policy is Policy.BEST_RESPONSE:
                 right_value[j, i], right_play[j][i] = _exploit(
                     instance.games[i, j], left_play[i][j]

@@ -4,7 +4,8 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 (Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
-until no reduced cost is negative. A 2x2 B gets its pivots in closed form.
+until no reduced cost is negative. games.maximin hands every 2x2 B over as
+nested lists of Python floats, and its pivots run in closed form on those.
 """
 
 from __future__ import annotations
@@ -14,28 +15,22 @@ import numpy as np
 PIVOT_TOL = 1e-9
 
 
-def solve_lp(B) -> tuple[np.ndarray, np.ndarray]:
+def solve_lp(B):
     """Primal optimum w and dual optimum u of max 1^T w s.t. B w <= 1, w >= 0.
 
     B is an m x k matrix with entries in [1, 3]. Bland's rule picks the
     lowest-index entering column and breaks minimum-ratio ties by the lowest
     basis index. The slack columns' reduced costs give u, which solves
-    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. A 2x2 B skips the
-    numpy tableau and returns its answer bit for bit, ties included.
+    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. A 2x2 B given as lists of
+    Python floats gets lists back, from _solve_2x2 bit for bit where it admits B.
     """
-    if B.shape == (2, 2):
-        (a, b), (c, d) = B.tolist()
-        # Unequal neighbours 1e-5 apart make the tableau's tolerance tests agree with exact
-        # comparisons; but if b == d, rounding of order 1e-15 / |a - c| breaks its ratio tie.
-        if (1.0 <= min(a, b, c, d) and max(a, b, c, d) <= 3.0
-                and all(gap == 0.0 or abs(gap) >= 1e-5 for gap in (a - b, c - d, a - c, b - d))
-                and (b != d or a == c or abs(a - c) >= 1e-2)):
-            return _solve_2x2(a, b, c, d)
+    if type(B) is list:
+        return _solve_2x2(*B[0], *B[1]) or tuple(v.tolist() for v in _tableau(np.array(B)))
     return _tableau(B)
 
 
-def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """_tableau on B = [[a, b], [c, d]], with the pivots read off the entries.
+def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | None:
+    """_tableau on B = [[a, b], [c, d]] on Python floats, or None where the guard refuses B.
 
     Bland's rule enters w_1 at row `hi` = (p, q), the one with the larger
     entry in column 1, then stops at a saddle point or goes on to the mixed
@@ -43,15 +38,24 @@ def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[np.ndarray, np.n
     arithmetic keeps values equal in exact arithmetic (games' values at cells
     sharing one confidence bound) in the order deferred acceptance reads.
     """
+    # Unequal neighbours 1e-5 apart make the tableau's tolerance tests agree with exact
+    # comparisons; but if b == d, rounding of order 1e-15 / |a - c| breaks its ratio tie.
+    if not (1.0 <= a <= 3.0 and 1.0 <= b <= 3.0 and 1.0 <= c <= 3.0 and 1.0 <= d <= 3.0
+            and min(abs(a - b) or 1.0, abs(c - d) or 1.0, abs(a - c) or 1.0, abs(b - d) or 1.0) >= 1e-5
+            and (b != d or a == c or abs(a - c) >= 1e-2)):
+        return None
     hi, lo = (0, 1) if a >= c else (1, 0)
     (p, q), (r, s) = ((a, b), (c, d)) if hi == 0 else ((c, d), (a, b))
     tail = [] if q >= p else [(hi, 1)] if s <= q else [(lo, 1)] if s >= r else [(lo, 1), (hi, 2 + hi)]
     T, basis = [[a, b, 1.0, 0.0, 1.0], [c, d, 0.0, 1.0, 1.0], [-1.0, -1.0, 0.0, 0.0, 0.0]], [2, 3]
     for leave, enter in [(hi, 0), *tail]:
-        row = [x / T[leave][enter] for x in T[leave]]
-        T = [row if i == leave else [x - t[enter] * y for x, y in zip(t, row)] for i, t in enumerate(T)]
+        # five entries spelled out: at this size comprehensions cost more than the arithmetic
+        p0, p1, p2, p3, p4 = row = [x / T[leave][enter] for x in T[leave]]
+        for i, (t0, t1, t2, t3, t4) in enumerate(T):
+            g = T[i][enter]
+            T[i] = row if i == leave else [t0 - g * p0, t1 - g * p1, t2 - g * p2, t3 - g * p3, t4 - g * p4]
         basis[leave] = enter
-    return np.array([T[basis.index(j)][4] if j in basis else 0.0 for j in (0, 1)]), np.array(T[2][2:4])
+    return [T[basis.index(j)][4] if j in basis else 0.0 for j in (0, 1)], T[2][2:4]
 
 
 def _tableau(B) -> tuple[np.ndarray, np.ndarray]:

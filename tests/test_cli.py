@@ -246,6 +246,17 @@ def test_match_bool_threshold_is_input_error(tmp_path, capsys):
     assert captured.out == "" and "'left_threshold'" in captured.err and "strings" in captured.err
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_match_scalar_threshold_is_input_error(tmp_path, capsys, side):
+    prefs_path = tmp_path / "prefs.json"
+    prefs_path.write_text(
+        '{"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "%s_threshold": 0.5}' % side
+    )
+    assert main(["match", "--preferences", str(prefs_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{side}_threshold'" in captured.err and "flat list" in captured.err
+
+
 def test_audit_reports_instability(audit_files, capsys):
     instance_path, matching_path, strategies_path = audit_files
     argv = [

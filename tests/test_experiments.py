@@ -159,8 +159,11 @@ def test_trace_reader_rejects_foreign_headers(tmp_path):
         (read_aggregate_file, AGGREGATE_HEADER, "1,x,0.0,1.0"),
         (read_trace_file, TRACE_HEADER, "0,x,0-0,0.5,0.5,1"),
         (read_trace_file, TRACE_HEADER, "0,1,0-x,0.5,0.5,1"),
+        # event_ok is written as 0 or 1; any other integer is not read as true
+        (read_trace_file, TRACE_HEADER, "0,1,0-0,0.5,0.5,7"),
+        (read_trace_file, TRACE_HEADER, "0,1,0-0,0.5,0.5,01"),
     ],
-    ids=["aggregate-short", "aggregate-float", "trace-int", "trace-matching"],
+    ids=["aggregate-short", "aggregate-float", "trace-int", "trace-matching", "trace-event-7", "trace-event-01"],
 )
 def test_trace_readers_name_the_path_and_row_of_a_malformed_row(tmp_path, reader, header, row):
     path = tmp_path / "trace.csv"

@@ -326,6 +326,15 @@ def test_bool_is_not_read_as_a_number(tmp_path, reader, document, field, refused
         reader(path)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("value", [0.5, [[0.5]]], ids=["scalar", "nested"])
+def test_threshold_must_be_a_flat_list(tmp_path, side, value):
+    document = {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], f"{side}_threshold": value}
+    path = _document(tmp_path, "prefs.json", document)
+    with pytest.raises(FormatError, match=f"field '{side}_threshold' must be a flat list of numbers"):
+        read_preferences(path)
+
+
 def test_integers_beyond_int64_are_read_as_numbers(tmp_path):
     # numpy holds such an integer as a Python object, so it is checked item by item
     document = _instance_document(games=[[[[2**70, 0.5]]]], outside_options={"left": [-1], "right": [-(2**64)]})

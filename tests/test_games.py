@@ -153,7 +153,7 @@ def test_solve_game_calls_the_kernel_twice(monkeypatch):
     # one solve_lp per maximin, on the closed-form 2x2 path and on the
     # tableau path alike: the benchmark's traced counts depend on it
     solve_lp, calls = games.solve_lp, []
-    monkeypatch.setattr(games, "solve_lp", lambda B: calls.append(B.shape) or solve_lp(B))
+    monkeypatch.setattr(games, "solve_lp", lambda B: calls.append(np.shape(B)) or solve_lp(B))
     for game in ([[3.0, -1.0], [0.0, 2.0]], [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.5]]):
         calls.clear()
         solve_game(game)

@@ -54,6 +54,20 @@ def test_right_view_is_negated_transpose():
     assert (right_up == (-state.means[0, 0] + width).T).all()
 
 
+def test_float_ucb_entries_match_ucb_matrix():
+    # run_episode reads a 2x2 pair's optimistic games as Python floats
+    rng = np.random.default_rng(17)
+    state = ConfidenceState.fresh(2, 3, 2, 2, delta=auto_delta(1000, 2, 3, 2, 2))
+    for _ in range(200):
+        state.counts[...] = rng.integers(0, 50, size=state.counts.shape) * rng.integers(0, 2, size=state.counts.shape)
+        state.means[...] = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=state.means.shape)
+        for i, j in np.ndindex(2, 3):
+            for side in Side:
+                game = learning._optimistic(state, i, j, side)
+                assert all(type(v) is float for row in game for v in row)
+                assert np.array(game).tobytes() == ucb_matrix(state, (i, j), side).tobytes()
+
+
 def test_first_round_matches_assortatively():
     instance = generate_instance(2, 2, 2, 2, seed=5)
     records = run_episode(instance, Policy.SELF_PLAY, 1, seed=5)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from matchgames import linprog
+from matchgames.errors import InputError
+from matchgames.games import maximin
 from matchgames.learning import ConfidenceState, auto_delta, ucb_matrix
 from matchgames.linprog import solve_lp
 from matchgames.market import Side
@@ -111,14 +113,16 @@ def test_solver_is_deterministic():
 
 
 def assert_closed_form_matches_tableau(matrices, monkeypatch) -> int:
-    """solve_lp returns the tableau's (w, u) bit for bit on every 2x2 in matrices.
+    """solve_lp, given each 2x2 in matrices as nested lists of Python floats,
+    returns the tableau's (w, u) bit for bit.
 
     Returns how many of them solve_lp handed to the tableau."""
     tableau, handed = linprog._tableau, []
     monkeypatch.setattr(linprog, "_tableau", lambda B: handed.append(B) or tableau(B))
     for B in matrices:
-        got, expected = solve_lp(B), tableau(B)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in expected], (B, got, expected)
+        got, expected = solve_lp(np.asarray(B).tolist()), tableau(B)
+        assert all(type(v) is float for vector in got for v in vector)
+        assert [np.array(v).tobytes() for v in got] == [v.tobytes() for v in expected], (B, got, expected)
     return len(handed)
 
 
@@ -139,19 +143,15 @@ def set_partitions(cells):
             yield [*partition[:index], [first, *block], *partition[index + 1:]]
 
 
-def test_closed_form_matches_tableau_on_integer_games(monkeypatch):
-    matrices = [B for cells in itertools.product(range(-2, 3), repeat=4)
-                for B in as_packing_lps(np.array(cells, dtype=float).reshape(2, 2))]
-    assert len(matrices) == 1250
-    assert assert_closed_form_matches_tableau(matrices, monkeypatch) == 0
+def integer_games() -> list:
+    return [np.array(cells, dtype=float).reshape(2, 2) for cells in itertools.product(range(-2, 3), repeat=4)]
 
 
-def test_closed_form_matches_tableau_on_random_matrices(monkeypatch):
-    matrices = np.random.default_rng(41).uniform(1.0, 3.0, size=(20000, 2, 2))
-    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 200
+def random_matrices() -> np.ndarray:
+    return np.random.default_rng(41).uniform(1.0, 3.0, size=(20000, 2, 2))
 
 
-def test_closed_form_matches_tableau_on_every_tie_pattern(monkeypatch):
+def tie_pattern_matrices() -> list:
     rng = np.random.default_rng(42)
     partitions = list(set_partitions(list(range(4))))
     assert len(partitions) == 15
@@ -162,15 +162,15 @@ def test_closed_form_matches_tableau_on_every_tie_pattern(monkeypatch):
             for block, value in zip(partition, rng.uniform(1.0, 3.0, size=len(partition))):
                 cells[block] = value
             matrices.append(cells.reshape(2, 2))
-    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 30
+    return matrices
 
 
-def test_closed_form_matches_tableau_on_ucb_matrices(monkeypatch):
+def ucb_games() -> list:
     # unvisited cells share one confidence width and a zero mean, so early
     # optimistic matrices have several equal cells
     rng = np.random.default_rng(43)
     state = ConfidenceState.fresh(1, 1, 2, 2, delta=auto_delta(100, 2, 2, 2, 2))
-    matrices = []
+    games = []
     for index in range(1000):
         state.counts[0, 0] = rng.integers(0, 4, size=(2, 2)) * rng.integers(0, 2, size=(2, 2))
         if index % 2:
@@ -178,16 +178,14 @@ def test_closed_form_matches_tableau_on_ucb_matrices(monkeypatch):
         else:
             means = rng.normal(size=(2, 2))
         state.means[0, 0] = np.where(state.counts[0, 0] > 0, means, 0.0)
-        for side in Side:
-            matrices.append(as_packing_lps(ucb_matrix(state, (0, 0), side))[0])
-    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 20
+        games += [ucb_matrix(state, (0, 0), side) for side in Side]
+    return games
 
 
-def test_near_ties_match_tableau(monkeypatch):
+def near_tie_matrices() -> list:
     # A constant column with the other column's entries a hair apart makes
     # the tableau's tie-break depend on rounding; unequal neighbours closer
     # than 1e-5 make its tolerance tests disagree with exact comparisons.
-    # Both go to the tableau. Just outside those bands the closed form holds.
     rng = np.random.default_rng(44)
     matrices = []
     for gap in (*10.0 ** -np.arange(3, 13), *rng.uniform(1e-2, 2e-2, size=10)):
@@ -200,4 +198,90 @@ def test_near_ties_match_tableau(monkeypatch):
             B = rng.uniform(1.0, 2.9, size=(2, 2))
             B[1, 0] = B[0, 0] + gap
             matrices += [B, B.T.copy()]
-    assert assert_closed_form_matches_tableau(matrices, monkeypatch) >= 500
+    return matrices
+
+
+def test_closed_form_matches_tableau_on_integer_games(monkeypatch):
+    matrices = [B for A in integer_games() for B in as_packing_lps(A)]
+    assert len(matrices) == 1250
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) == 0
+
+
+def test_closed_form_matches_tableau_on_random_matrices(monkeypatch):
+    assert assert_closed_form_matches_tableau(random_matrices(), monkeypatch) <= 200
+
+
+def test_closed_form_matches_tableau_on_every_tie_pattern(monkeypatch):
+    assert assert_closed_form_matches_tableau(tie_pattern_matrices(), monkeypatch) <= 30
+
+
+def test_closed_form_matches_tableau_on_ucb_matrices(monkeypatch):
+    matrices = [as_packing_lps(A)[0] for A in ucb_games()]
+    assert assert_closed_form_matches_tableau(matrices, monkeypatch) <= 20
+
+
+def test_near_ties_match_tableau(monkeypatch):
+    # Both near-tie bands go to the tableau. Just outside them the closed form holds.
+    assert assert_closed_form_matches_tableau(near_tie_matrices(), monkeypatch) >= 500
+
+
+def numpy_maximin(A: np.ndarray) -> tuple[float, np.ndarray]:
+    """maximin's numpy form, restated: the packing LP of A/scale + 2 on the
+    numpy tableau, its value and clipped, normalised strategy read back with
+    numpy's ufuncs."""
+    scale = float(np.maximum.reduce(np.abs(A), axis=None)) or 1.0
+    _, u = solve_lp(A / scale + 2.0)
+    x = np.maximum(u, 0.0)
+    return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, x / np.add.reduce(x)
+
+
+def as_bytes(solution: tuple[float, np.ndarray]) -> tuple:
+    value, x = solution
+    return type(value), repr(value), x.dtype.str, x.shape, x.tobytes()
+
+
+def signed_zero_games() -> list:
+    # every zero of the integer games as -0.0, then only the zeros in odd cells
+    games = []
+    for A in integer_games():
+        games.append(np.where(A == 0.0, -0.0, A))
+        games.append(np.where((A == 0.0) & (np.arange(4).reshape(2, 2) % 2 == 1), -0.0, A))
+    return games
+
+
+def test_float_maximin_matches_numpy_form(monkeypatch):
+    # 2x2 games in [-1, 1] from the packing-LP corpora, the integer games at
+    # payoff scales down to the subnormals (where a value can round to -0.0),
+    # signed zeros, and optimistic matrices with unvisited cells
+    lp_games = [B - 2.0 for B in (*random_matrices()[:5000], *tie_pattern_matrices(), *near_tie_matrices())]
+    scaled = [A * factor for factor in (5e-324, 1e-310, 1e-300, 1e-6, 1e6, 1e300) for A in integer_games()]
+    corpus = [*integer_games(), *lp_games, *scaled, *signed_zero_games(), *ucb_games()]
+    tableau, handed, refused = linprog._tableau, [], 0
+    monkeypatch.setattr(linprog, "_tableau", lambda B: handed.append(B) or tableau(B))
+    for A in corpus:
+        for game in (A, -A.T):
+            expected = as_bytes(numpy_maximin(game))
+            handed.clear()
+            assert as_bytes(maximin(game.tolist())) == expected, game
+            refused += bool(handed)
+            assert as_bytes(maximin(game)) == expected, game
+    # the near-tie bands reach the tableau through the float path, too
+    assert refused >= 500
+
+
+def test_float_maximin_takes_lists_and_arrays_alike():
+    for A in integer_games():
+        expected = as_bytes(maximin(A))
+        assert as_bytes(maximin(A.tolist())) == expected
+        assert as_bytes(maximin(A.astype(int).tolist())) == expected
+        assert as_bytes(maximin([list(row) for row in A.astype(np.float32)])) == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", range(4))
+def test_float_maximin_refuses_non_finite_entries(bad, cell):
+    game = [[0.5, -1.0], [2.0, 0.0]]
+    game[cell // 2][cell % 2] = bad
+    for form in (game, np.array(game)):
+        with pytest.raises(InputError, match=r"^payoff matrix contains non-finite entries$"):
+            maximin(form)
