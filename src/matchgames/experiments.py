@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_integer
 from .formats import read_instance, read_matching, read_strategy_profile
 from .instability import InstabilityReport, matching_instability
 from .learning import Policy, run_episode
@@ -60,10 +60,12 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if min(self.p, self.a, self.m, self.k) < 1:
-            raise InputError("market dimensions must all be at least 1")
-        if self.T < 1 or self.runs < 1:
-            raise InputError("T and runs must be at least 1")
+        # sizes and seeds are checked here, before run_experiment makes any file
+        for name in ("p", "a", "m", "k", "T", "runs", "seeds_base"):
+            minimum = 0 if name == "seeds_base" else 1
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        if self.workers is not None:
+            object.__setattr__(self, "workers", check_integer("workers", self.workers, 1))
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise InputError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
         if self.noise_scale < 0.0 or not math.isfinite(self.noise_scale):
@@ -72,8 +74,6 @@ class ExperimentConfig:
             raise InputError(f"unknown policy {self.policy!r}")
         if not isinstance(self.generator, Generator):
             raise InputError(f"unknown generator {self.generator!r}")
-        if self.workers is not None and self.workers < 1:
-            raise InputError(f"workers must be at least 1, got {self.workers!r}")
 
     def record(self) -> dict:
         """Scientific parameters only; echoing this is scheduling-independent."""

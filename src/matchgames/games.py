@@ -4,9 +4,13 @@ Payoff matrices are plain float arrays holding the row player's payoff; the
 column player receives the negation. The LP route (maximin, solve_game) is
 the production path: it rescales the payoffs into [1, 3] and solves the
 game's packing LP with ``linprog.solve_lp``, so results do not depend on the
-payoffs' units; a 2x2 game is scaled, solved and read back on Python floats.
-oracle_solve_game is an independent enumeration-based checker kept for
-cross-validation and must stay free of the LP machinery.
+payoffs' units. A single 2x2 game is scaled, solved and read back on Python
+floats, and any other single game on the numpy tableau. maximin also takes a
+stack of games, shape (..., m, k): 1x1 and 2x2 games keep their single-game
+forms, and larger ones run as one stacked tableau, so every game in a stack
+gets the bits it would get alone. oracle_solve_game is an independent
+enumeration-based checker kept for cross-validation and must stay free of
+the LP machinery.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class GameSolution:
     column_strategy: np.ndarray
 
 
-def maximin(game) -> tuple[float, np.ndarray]:
+def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
     """Value and one optimal mixed strategy for the row player.
 
     Rescales A by max|A| and shifts it by 2, so B = A/scale + 2 has entries
@@ -73,12 +77,18 @@ def maximin(game) -> tuple[float, np.ndarray]:
     max 1^T w s.t. B w <= 1, w >= 0 is u = x / v_B, so x = u / sum(u) and
     v_B = 1 / sum(u), whatever the payoffs' units. A 2x2 game is solved on
     Python floats, which round as numpy's do, so the bits are numpy's.
+
+    A stack of games, shape (..., m, k), gives values of shape (...) and
+    strategies of shape (..., m), each game's equal to its own maximin's.
     """
     rows = game if (type(game) is list and len(game) == 2 and type(game[0]) is list is type(game[1])
                     and len(game[0]) == 2 == len(game[1])
                     and all(type(v) is float and abs(v) < math.inf for v in game[0] + game[1])) else None
     if rows is None:
-        A = as_payoff_matrix(game)
+        A = np.asarray(game, dtype=float)
+        if A.ndim > 2:
+            return _stacked_maximin(A)
+        A = as_payoff_matrix(A)
         if A.shape == (1, 1):
             # the LP would only add rounding noise to the lone payoff entry
             return float(A[0, 0]), np.array([1.0])
@@ -101,6 +111,34 @@ def maximin(game) -> tuple[float, np.ndarray]:
         return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, _normalized(u)
     x0, x1 = (0.0 if v <= 0.0 else v for v in u)  # np.maximum(u, 0.0): -0.0 becomes +0.0
     return (1.0 / (u[0] + u[1]) - 2.0) * scale + 0.0, np.array([x0 / (x0 + x1), x1 / (x0 + x1)])
+
+
+def _stacked_maximin(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """maximin on each game of a (..., m, k) stack, by the single-game path's rules."""
+    *lead, m, k = A.shape
+    if m < 1 or k < 1:
+        raise DimensionError(f"payoff matrices must be nonempty, got shape {A.shape}")
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
+        raise InputError("payoff matrix contains non-finite entries")
+    if (m, k) == (1, 1):
+        return A[..., 0, 0].copy(), np.ones((*lead, 1))
+    if (m, k) == (2, 2):
+        # game by game on Python floats: stacking 2x2 games costs more than it saves
+        solved = [maximin(rows) for rows in A.reshape(-1, 2, 2).tolist()]
+        return (np.array([value for value, _ in solved]).reshape(lead),
+                np.array([x for _, x in solved]).reshape(*lead, 2))
+    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1))
+    scale[scale == 0.0] = 1.0
+    try:
+        _, u = solve_lp((A / scale[..., None, None] + 2.0).reshape(-1, m, k))
+    except RuntimeError as exc:
+        raise SolverError(
+            f"game solver failed ({exc}) on payoffs of magnitude up to {scale.max():.3g}"
+        ) from exc
+    u = u.reshape(*lead, m)
+    x = np.maximum(u, 0.0)
+    value = (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0
+    return value, x / np.add.reduce(x, axis=-1, keepdims=True)
 
 
 def game_value(game) -> float:

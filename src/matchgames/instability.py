@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .games import check_strategy, game_value, oracle_solve_game
+from .games import check_strategy, maximin, oracle_solve_game
 from .market import AgentId, Matching, MarketInstance, Side, UtilityTable
 
 DEFAULT_TOL = 1e-9
@@ -310,11 +310,12 @@ def matching_instability(
 
     Cross-pair deviations are valued at the pair game's minimax value, so an
     agent's temptation toward a partner ignores what the partner would lose.
-    game_values may carry precomputed left-view values (shape p x a, all
+    Without game_values, every pair's game is solved in one stacked maximin
+    call. game_values may carry precomputed left-view values (shape p x a, all
     finite) so repeated audits of one instance can skip re-solving the games.
     """
     if game_values is None:
-        values = np.array([[game_value(game) for game in row] for row in instance.games])
+        values = maximin(instance.games)[0]
     else:
         values = np.asarray(game_values, dtype=float)
         if values.shape != (instance.p, instance.a):

@@ -28,8 +28,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InputError
-from .games import best_response, check_strategy, maximin, solve_game
+from .errors import InputError, check_integer
+from .games import best_response, check_strategy, maximin
 from .instability import matching_instability
 from .market import (
     AgentId,
@@ -168,8 +168,7 @@ def run_episode(
     """
     if not isinstance(policy, Policy):
         raise InputError(f"unknown policy {policy!r}")
-    if T < 1:
-        raise InputError(f"horizon must be at least 1, got {T}")
+    T, seed = check_integer("T", T, 1), check_integer("seed", seed, 0)
     noise_scale = float(noise_scale)
     if not math.isfinite(noise_scale) or noise_scale < 0.0:
         raise InputError(f"noise_scale must be finite and nonnegative, got {noise_scale!r}")
@@ -189,19 +188,19 @@ def run_episode(
     # right_value[j, i] is what right agent j expects against left agent i and
     # right_play[j][i] the strategy it plays there. Nash-response fills the
     # right side's table here, once; the other policies refresh it per pair.
+    # The audit's true values and nash-response's table each take one stacked
+    # maximin call over every pair's game; a column strategy is the row
+    # strategy of the mirrored game -A^T, as in solve_game.
     left_value = np.zeros((p, a))
     left_play = [[None] * a for _ in range(p)]
-    right_value = np.zeros((a, p))
-    right_play = [[None] * p for _ in range(a)]
-    true_values = np.zeros((p, a))
-    for i in range(p):
-        for j in range(a):
-            if policy is Policy.NASH_RESPONSE:
-                solution = solve_game(instance.games[i, j])
-                true_values[i, j] = solution.value
-                right_value[j, i], right_play[j][i] = -solution.value, solution.column_strategy
-            else:
-                true_values[i, j] = maximin(instance.games[i, j])[0]
+    true_values = maximin(instance.games)[0]
+    if policy is Policy.NASH_RESPONSE:
+        right_value = -true_values.T
+        columns = maximin(-np.swapaxes(instance.games, 2, 3))[1]
+        right_play = [[columns[i, j] for i in range(p)] for j in range(a)]
+    else:
+        right_value = np.zeros((a, p))
+        right_play = [[None] * p for _ in range(a)]
 
     records: list[StepRecord] = []
     refresh = [(i, j) for i in range(p) for j in range(a)]

@@ -4,8 +4,11 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 (Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
-until no reduced cost is negative. games.maximin hands every 2x2 B over as
-nested lists of Python floats, and its pivots run in closed form on those.
+until no reduced cost is negative. Three kernels share that pivot rule:
+games.maximin hands a single 2x2 B over as nested lists of Python floats,
+whose pivots run in closed form on those; any other single B runs the numpy
+_tableau; and a (G, m, k) stack of G games runs _stacked, one tableau for
+the whole stack, which gives every game _tableau's answer to the bit.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ def solve_lp(B):
     basis index. The slack columns' reduced costs give u, which solves
     min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. A 2x2 B given as lists of
     Python floats gets lists back, from _solve_2x2 bit for bit where it admits B.
+    A (G, m, k) array B is G games, solved together: w is (G, k) and u (G, m).
     """
     if type(B) is list:
         return _solve_2x2(*B[0], *B[1]) or tuple(v.tolist() for v in _tableau(np.array(B)))
-    return _tableau(B)
+    return _stacked(B) if B.ndim == 3 else _tableau(B)
 
 
 def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | None:
@@ -86,3 +90,48 @@ def _tableau(B) -> tuple[np.ndarray, np.ndarray]:
     x = np.zeros(k + m)
     x[basis] = T[:m, -1]
     return x[:k], T[m, k:-1].copy()
+
+
+def _stacked(B) -> tuple[np.ndarray, np.ndarray]:
+    """_tableau on each game of a (G, m, k) stack, as one (G, m+1, k+m+1) tableau.
+
+    Each pivot repeats _tableau's elementwise steps on every game still live,
+    so each game's (w, u) are _tableau's bits; a game whose reduced costs are
+    all nonnegative is read off and leaves the stack.
+    """
+    G, m, k = B.shape
+    T = np.zeros((G, m + 1, k + m + 1))
+    T[:, :m, :k] = B
+    T[:, :m, k:-1] = np.eye(m)
+    T[:, :m, -1] = 1.0
+    T[:, m, :k] = -1.0
+    basis = np.broadcast_to(np.arange(k, k + m), (G, m)).copy()
+    games = np.arange(G)
+    x, u = np.zeros((G, k + m)), np.zeros((G, m))
+    while games.size:
+        negative = T[:, m, :-1] < -PIVOT_TOL
+        live = negative.any(axis=1)
+        if not live.all():
+            done = games[~live]
+            x[done[:, None], basis[~live]] = T[~live, :m, -1]
+            u[done] = T[~live, m, k:-1]
+            T, basis, games, negative = T[live], basis[live], games[live], negative[live]
+            if not games.size:
+                break
+        live_games = np.arange(games.size)
+        enter = negative.argmax(axis=1)
+        column = T[live_games, :m, enter]
+        positive = column > PIVOT_TOL
+        if not positive.any(axis=1).all():
+            stuck = int(np.argmin(positive.any(axis=1)))
+            raise RuntimeError(f"entering column {enter[stuck]} has no positive entry")
+        ratios = np.divide(T[:, :m, -1], column, out=np.full((games.size, m), np.inf), where=positive)
+        tied = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
+        leave = np.where(tied, basis, k + m).argmin(axis=1)
+        row = T[live_games, leave] / column[live_games, leave][:, None]
+        T[live_games, leave] = row
+        factors = T[live_games, :, enter]
+        factors[live_games, leave] = 0.0
+        T -= factors[:, :, None] * row[:, None, :]
+        basis[live_games, leave] = enter
+    return x[:, :k], u

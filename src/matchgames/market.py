@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, check_integer
 
 
 class Side(IntEnum):
@@ -282,8 +282,8 @@ def generate_instance(
     UNIFORM_SIGNED draws uniformly from [-1, 1]. All agents share the given
     outside option value.
     """
-    if min(p, a, m, k) < 1:
-        raise InputError("market dimensions must all be at least 1")
+    p, a, m, k = (check_integer(name, value, 1) for name, value in zip("pamk", (p, a, m, k)))
+    seed = check_integer("seed", seed, 0)
     if not np.isfinite(outside_option):
         raise InputError("outside option must be finite")
     rng = np.random.default_rng(seed)

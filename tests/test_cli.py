@@ -422,6 +422,24 @@ def test_simulate_defaults_are_the_config_defaults(tmp_path, capsys):
     assert json.loads((out / "config.json").read_text()) == expected
 
 
+def test_simulate_negative_seed_base_is_input_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "results"
+    argv = ["simulate", "--p", "1", "--a", "1", "--m", "1", "--k", "1", "--T", "2",
+            "--runs", "1", "--seeds-base", "-1", "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seeds_base must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+def test_gen_instance_negative_seed_is_input_error(tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    argv = ["gen-instance", "--p", "1", "--a", "1", "--m", "1", "--k", "1",
+            "--seed", "-3", "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -3\n"
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_delta(tmp_path, capsys):
     argv = [
         "simulate", "--p", "1", "--a", "1", "--m", "1", "--k", "1",

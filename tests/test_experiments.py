@@ -183,6 +183,25 @@ def test_config_validation():
         ExperimentConfig(p=1, a=1, m=1, k=1, T=10, workers=0)
 
 
+@pytest.mark.parametrize(
+    ("field", "bad"),
+    [("T", 2.5), ("runs", 2.5), ("p", 2.0), ("T", True), ("k", "2"), ("seeds_base", -1),
+     ("seeds_base", 0.5), ("workers", 1.5)],
+)
+def test_config_refuses_non_integral_sizes_and_negative_seeds(field, bad):
+    settings = dict(p=1, a=1, m=1, k=1, T=2)
+    settings[field] = bad
+    message = f"^{field} must be (an integer|at least 0), got {re.escape(repr(bad))}$"
+    with pytest.raises(InputError, match=message):
+        ExperimentConfig(**settings)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    config = ExperimentConfig(p=np.int64(2), a=np.int32(1), m=2, k=2, T=np.int64(3), seeds_base=np.uint8(4))
+    assert [type(getattr(config, name)) for name in ("p", "a", "T", "seeds_base")] == [int] * 4
+    assert json.loads(json.dumps(config.record()))["seeds_base"] == 4
+
+
 def test_baseline_policies_run_through_harness(tmp_path):
     for policy in (Policy.NASH_RESPONSE, Policy.BEST_RESPONSE):
         directory = tmp_path / policy.value

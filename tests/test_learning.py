@@ -180,17 +180,20 @@ def test_baseline_records_omit_self_play_diagnostics():
 @pytest.mark.parametrize("policy", list(Policy))
 def test_game_solves_per_episode(monkeypatch, policy):
     instance = generate_instance(2, 3, 2, 2, generator=Generator.UNIFORM_SIGNED, seed=14)
-    calls = []
-    monkeypatch.setattr(learning, "maximin", lambda game: calls.append(game) or maximin(game))
+    solved = []  # games per maximin call: a stack of G games counts as G
+    monkeypatch.setattr(
+        learning, "maximin", lambda game: solved.append(math.prod(np.shape(game)[:-2])) or maximin(game)
+    )
     records = run_episode(instance, policy, 30, seed=14)
     # round 1 refreshes every pair, each later round the pairs matched before it
     refreshed = 2 * 3 + sum(len(record.matching) for record in records[:-1])
     # only self-play solves the right side's optimistic games; the baselines read
     # the right side's table from exact solutions or from best responses
     expected = refreshed * (2 if policy is Policy.SELF_PLAY else 1)
-    if policy is not Policy.NASH_RESPONSE:
-        expected += 2 * 3  # up-front true values for the audit
-    assert len(calls) == expected
+    # up front, every pair's true game for the audit; nash-response also solves
+    # each mirrored game -A^T for the right side's exact strategy
+    expected += 2 * 3 * (2 if policy is Policy.NASH_RESPONSE else 1)
+    assert sum(solved) == expected
 
 
 def _strategy_cases(rng, count: int):
@@ -223,7 +226,10 @@ def test_draw_matches_generator_choice():
 )
 def test_invalid_strategy_raises_before_any_draw(monkeypatch, bad):
     draws = []
-    monkeypatch.setattr(learning, "maximin", lambda game: (0.0, np.array(bad)))
+    # value 0 and strategy `bad` for every game, a stack's game by game
+    monkeypatch.setattr(learning, "maximin", lambda game: (
+        np.zeros(np.shape(game)[:-2]), np.broadcast_to(bad, (*np.shape(game)[:-2], len(bad)))
+    ))
     monkeypatch.setattr(learning, "_draw", lambda rng, x: draws.append(x) or 0)
     with pytest.raises(InputError):
         run_episode(generate_instance(2, 2, 2, 2, seed=15), Policy.SELF_PLAY, 1, seed=15)
@@ -263,6 +269,23 @@ def test_run_episode_validation():
         run_episode(instance, "self-play", 5)
     with pytest.raises(InputError):
         run_episode(instance, Policy.SELF_PLAY, 5, noise_scale=float("inf"))
+
+
+@pytest.mark.parametrize(
+    ("T", "seed", "field"),
+    [(2.5, 0, "T"), (True, 0, "T"), (2.0, 0, "T"), (3, -1, "seed"), (3, 0.5, "seed"), (3, False, "seed")],
+)
+def test_run_episode_refuses_non_integral_horizons_and_seeds(T, seed, field):
+    instance = generate_instance(1, 1, 2, 2, seed=13)
+    with pytest.raises(InputError, match=f"^{field} must be "):
+        run_episode(instance, Policy.SELF_PLAY, T, seed=seed)
+
+
+def test_run_episode_takes_numpy_integers():
+    instance = generate_instance(2, 2, 2, 2, seed=13)
+    records = run_episode(instance, Policy.SELF_PLAY, np.int64(4), seed=np.int64(13))
+    expected = run_episode(instance, Policy.SELF_PLAY, 4, seed=13)
+    assert [record.mi for record in records] == [record.mi for record in expected]
 
 
 def test_policy_values_round_trip():

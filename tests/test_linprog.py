@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from matchgames import linprog
-from matchgames.errors import InputError
+from matchgames.errors import DimensionError, InputError
 from matchgames.games import maximin
 from matchgames.learning import ConfidenceState, auto_delta, ucb_matrix
 from matchgames.linprog import solve_lp
@@ -285,3 +285,137 @@ def test_float_maximin_refuses_non_finite_entries(bad, cell):
     for form in (game, np.array(game)):
         with pytest.raises(InputError, match=r"^payoff matrix contains non-finite entries$"):
             maximin(form)
+
+
+def shaped_games(seed: int, count: int = 30) -> list:
+    """Stacks of games from 1x1 to 5x5, square or not: integer and tenths
+    entries (ties), near-ties, standard normals and one all-zero game each."""
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for m, k in itertools.product(range(1, 6), repeat=2):
+        integer = rng.integers(-2, 3, size=(count, m, k)).astype(float)
+        gaps = 10.0 ** -rng.integers(3, 13, size=(count, 1, 1))
+        near = integer + gaps * rng.integers(0, 2, size=(count, m, k))
+        stacks.append(np.concatenate([
+            integer, near, np.round(rng.uniform(-1.0, 1.0, size=(count, m, k)), 1),
+            rng.normal(size=(count, m, k)), np.zeros((1, m, k)),
+        ]))
+    return stacks
+
+
+def two_by_two_games() -> np.ndarray:
+    lp_games = [B - 2.0 for B in (*random_matrices()[:2000], *tie_pattern_matrices(), *near_tie_matrices())]
+    return np.array([*integer_games(), *lp_games, *ucb_games()])
+
+
+def nine_by_nine_games() -> np.ndarray:
+    # numpy's add.reduce sums pairwise from 8 elements on, so a 9-action
+    # strategy's normalisation is summed in another order than a short one's
+    rng = np.random.default_rng(45)
+    return np.concatenate([rng.normal(size=(20, 9, 9)), rng.integers(-2, 3, size=(20, 9, 9)).astype(float)])
+
+
+def mixed_pivot_games() -> np.ndarray:
+    # a saddle point, a dominated column, matching pennies on two actions and
+    # rock-paper-scissors on three: optimal bases with one, two and three
+    # structural columns, so the games leave the stacked tableau at different pivots
+    return np.array([
+        [[3.0, 2.0, 4.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0]],
+        [[1.0, -1.0, 2.0], [-1.0, 1.0, 2.0], [-2.0, -2.0, -2.0]],
+        [[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]],
+        np.zeros((3, 3)),
+    ])
+
+
+def assert_stack_matches_tableau(stack: np.ndarray) -> None:
+    """solve_lp on a (G, m, k) stack gives _tableau's (w, u) for each game, to the bit."""
+    w, u = solve_lp(stack)
+    assert w.shape == (stack.shape[0], stack.shape[2]) and u.shape == stack.shape[:2]
+    for B, w_game, u_game in zip(stack, w, u):
+        expected = linprog._tableau(B)
+        assert (w_game.tobytes(), u_game.tobytes()) == tuple(v.tobytes() for v in expected), B
+
+
+def packing_stacks(games: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the two LPs solve_game sets up for each game, stacked
+    return tuple(np.array(lps) for lps in zip(*map(as_packing_lps, games)))
+
+
+def test_stacked_lp_matches_tableau_on_the_2x2_corpora():
+    for stack in packing_stacks(two_by_two_games()):
+        assert_stack_matches_tableau(stack)
+
+
+def test_stacked_lp_matches_tableau_from_1x1_to_5x5():
+    for games in shaped_games(46):
+        for stack in packing_stacks(games):
+            assert_stack_matches_tableau(stack)
+
+
+def test_stacked_lp_matches_tableau_on_9x9_and_mixed_pivot_counts():
+    for games in (nine_by_nine_games(), mixed_pivot_games()):
+        for stack in packing_stacks(games):
+            assert_stack_matches_tableau(stack)
+    w, _ = solve_lp(packing_stacks(mixed_pivot_games())[0])
+    assert sorted(np.count_nonzero(w, axis=1).tolist()) == [1, 1, 2, 3]
+
+
+def test_stacked_lp_on_an_empty_stack():
+    w, u = solve_lp(np.empty((0, 3, 2)))
+    assert w.shape == (0, 2) and u.shape == (0, 3)
+
+
+def test_stacked_lp_reports_an_unbounded_game_as_the_tableau_does():
+    unbounded = np.array([[1.0, 0.0], [2.0, -1.0]])
+    with pytest.raises(RuntimeError) as single:
+        linprog._tableau(unbounded)
+    with pytest.raises(RuntimeError) as stacked:
+        solve_lp(np.array([[[1.0, 2.0], [2.0, 1.0]], unbounded]))
+    assert str(stacked.value) == str(single.value) == "entering column 3 has no positive entry"
+
+
+def assert_stacked_maximin_matches_per_game(stack: np.ndarray) -> None:
+    """maximin on a (..., m, k) stack gives each game's own maximin, to the bit."""
+    values, strategies = maximin(stack)
+    assert values.shape == stack.shape[:-2] and strategies.shape == stack.shape[:-1]
+    for index in np.ndindex(*stack.shape[:-2]):
+        value, x = maximin(stack[index])
+        assert repr(float(values[index])) == repr(value), stack[index]
+        assert strategies[index].tobytes() == x.tobytes(), stack[index]
+
+
+SCALES = (5e-324, 1e-310, 1e-300, 1e-6, 1.0, 1e6, 1e300)
+
+
+def test_stacked_maximin_matches_per_game_calls():
+    stacks = [*shaped_games(47, count=12), nine_by_nine_games(), mixed_pivot_games()]
+    for stack in stacks:
+        for scale in SCALES:
+            assert_stacked_maximin_matches_per_game(stack * scale)
+            assert_stacked_maximin_matches_per_game(-np.swapaxes(stack, 1, 2) * scale)
+    assert_stacked_maximin_matches_per_game(two_by_two_games())
+
+
+def test_stacked_maximin_keeps_leading_axes():
+    games = np.random.default_rng(48).normal(size=(2, 3, 4, 3, 2))
+    assert_stacked_maximin_matches_per_game(games)
+    for m, k in ((1, 1), (2, 2), (3, 2)):
+        values, strategies = maximin(games[..., :m, :k].tolist())
+        assert values.shape == (2, 3, 4) and strategies.shape == (2, 3, 4, m)
+        values, strategies = maximin(np.empty((0, 3, m, k)))
+        assert values.shape == (0, 3) and strategies.shape == (0, 3, m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 1, 1), (3, 2, 2), (2, 2, 3, 4)])
+def test_stacked_maximin_refuses_non_finite_entries(bad, shape):
+    for cell in (0, int(np.prod(shape)) // 2, -1):
+        stack = np.ones(shape)
+        stack.flat[cell] = bad
+        with pytest.raises(InputError, match=r"^payoff matrix contains non-finite entries$"):
+            maximin(stack)
+
+
+def test_stacked_maximin_refuses_empty_games():
+    with pytest.raises(DimensionError):
+        maximin(np.empty((3, 0, 2)))

@@ -316,6 +316,24 @@ def test_instance_validation():
         )
 
 
+@pytest.mark.parametrize(
+    ("sizes", "seed", "field"),
+    [((2.0, 2, 2, 2), 0, "p"), ((2, 2, True, 2), 0, "m"), ((2, 2, 2, 2.5), 0, "k"),
+     ((2, 2, 2, 2), -3, "seed"), ((2, 2, 2, 2), 1.5, "seed"), ((2, 2, 2, 2), True, "seed"),
+     ((2, 2, 2, 2), None, "seed")],
+)
+def test_generate_instance_refuses_non_integral_sizes_and_seeds(sizes, seed, field):
+    with pytest.raises(InputError, match=f"^{field} must be "):
+        generate_instance(*sizes, seed=seed)
+
+
+def test_generate_instance_takes_numpy_integers():
+    instance = generate_instance(np.int64(2), 2, np.int32(3), 2, seed=np.int64(5))
+    expected = generate_instance(2, 2, 3, 2, seed=5)
+    assert type(instance.seed) is int and type(instance.p) is int
+    assert instance.games.tobytes() == expected.games.tobytes()
+
+
 def test_utility_table_lookups():
     utilities = example_utilities()
     left, right = utilities.current(Matching(((0, 1),)))
