@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the number checks that raise one."""
 
+import math
 import numbers
 
 
@@ -30,3 +31,21 @@ def check_integer(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise InputError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """value as a finite float, or an InputError naming the field.
+
+    Python and numpy reals are accepted; a bool, a string or a non-finite
+    value (an integer beyond the float range included) is refused rather
+    than read as 1.0 or 0.0, parsed or kept.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return number

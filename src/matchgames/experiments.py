@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_integer
+from .errors import FormatError, InputError, check_integer, check_real
 from .formats import read_instance, read_matching, read_strategy_profile
 from .instability import InstabilityReport, matching_instability
 from .learning import Policy, run_episode
@@ -66,10 +66,13 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         if self.workers is not None:
             object.__setattr__(self, "workers", check_integer("workers", self.workers, 1))
+        # and the real-valued fields, stored as floats so config.json echoes numbers
+        for name in ("outside_option", "noise_scale") + (("delta",) if self.delta is not None else ()):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise InputError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
-        if self.noise_scale < 0.0 or not math.isfinite(self.noise_scale):
-            raise InputError(f"noise_scale must be finite and nonnegative, got {self.noise_scale!r}")
+        if self.noise_scale < 0.0:
+            raise InputError(f"noise_scale must be nonnegative, got {self.noise_scale!r}")
         if not isinstance(self.policy, Policy):
             raise InputError(f"unknown policy {self.policy!r}")
         if not isinstance(self.generator, Generator):

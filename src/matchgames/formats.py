@@ -128,6 +128,9 @@ def read_instance(path) -> MarketInstance:
     if not isinstance(outside, dict):
         raise FormatError(f"{path}: field 'outside_options' must be an object")
     seed = None if document.get("seed") is None else _whole_field(document, path, "seed")
+    if seed is not None and seed < 0:
+        # as generate_instance refuses it: no generator call can have used it
+        raise FormatError(f"{path}: field 'seed' must be at least 0, got {seed!r}")
     generator_name = document.get("generator")
     generator = None
     if generator_name is not None:

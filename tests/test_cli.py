@@ -431,6 +431,15 @@ def test_simulate_negative_seed_base_is_input_error_and_writes_nothing(tmp_path,
     assert not out.exists()
 
 
+def test_simulate_infinite_outside_option_is_input_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "results"
+    argv = ["simulate", "--p", "1", "--a", "1", "--m", "1", "--k", "1", "--T", "2",
+            "--runs", "1", "--outside-option", "inf", "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: outside_option must be finite, got inf\n"
+    assert not out.exists()
+
+
 def test_gen_instance_negative_seed_is_input_error(tmp_path, capsys):
     out = tmp_path / "instance.json"
     argv = ["gen-instance", "--p", "1", "--a", "1", "--m", "1", "--k", "1",

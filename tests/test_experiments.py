@@ -202,6 +202,26 @@ def test_config_takes_numpy_integers_as_ints():
     assert json.loads(json.dumps(config.record()))["seeds_base"] == 4
 
 
+@pytest.mark.parametrize(
+    ("field", "bad", "rule"),
+    [("noise_scale", True, "a real number"), ("outside_option", False, "a real number"),
+     ("noise_scale", "1", "a real number"), ("delta", "0.1", "a real number"),
+     ("outside_option", [1.0], "a real number"), ("outside_option", float("inf"), "finite"),
+     ("noise_scale", float("nan"), "finite"), ("outside_option", 10**400, "finite")],
+)
+def test_config_refuses_non_real_values(field, bad, rule):
+    with pytest.raises(InputError, match=f"^{field} must be {rule}, got "):
+        ExperimentConfig(p=1, a=1, m=1, k=1, T=2, **{field: bad})
+
+
+def test_config_stores_real_fields_as_floats():
+    config = ExperimentConfig(p=1, a=1, m=1, k=1, T=2, outside_option=-2, noise_scale=np.float32(0.5),
+                              delta=np.float64(0.25))
+    record = json.loads(json.dumps(config.record()))
+    assert [type(getattr(config, name)) for name in ("outside_option", "noise_scale", "delta")] == [float] * 3
+    assert (record["outside_option"], record["noise_scale"], record["delta"]) == (-2.0, 0.5, 0.25)
+
+
 def test_baseline_policies_run_through_harness(tmp_path):
     for policy in (Policy.NASH_RESPONSE, Policy.BEST_RESPONSE):
         directory = tmp_path / policy.value

@@ -243,7 +243,14 @@ def test_instance_seed_must_be_whole(tmp_path, seed):
         read_instance(path)
 
 
-@pytest.mark.parametrize(("seed", "expected"), [(None, None), (7, 7), (7.0, 7)])
+@pytest.mark.parametrize("seed", [-3, -1.0])
+def test_instance_seed_must_not_be_negative(tmp_path, seed):
+    path = _document(tmp_path, "instance.json", _instance_document(seed=seed))
+    with pytest.raises(FormatError, match="field 'seed' must be at least 0"):
+        read_instance(path)
+
+
+@pytest.mark.parametrize(("seed", "expected"), [(None, None), (0, 0), (7, 7), (7.0, 7)])
 def test_instance_seed_is_null_or_whole(tmp_path, seed, expected):
     path = _document(tmp_path, "instance.json", _instance_document(seed=seed))
     loaded = read_instance(path)

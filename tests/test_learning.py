@@ -196,6 +196,34 @@ def test_game_solves_per_episode(monkeypatch, policy):
     assert sum(solved) == expected
 
 
+def _fields(record) -> tuple:
+    """Every StepRecord field, strategies by their bytes and scalars by repr."""
+    return (
+        record.t, record.matching.pairs,
+        tuple((agent, x.dtype.str, x.tobytes()) for agent, x in record.strategies.items()),
+        *(tuple((agent, repr(v)) for agent, v in table.items()) for table in (record.actions, record.rewards)),
+        *(repr(getattr(record, name)) for name in
+          ("mi", "event_ok", "width_bound", "ucb_value_slack", "ucb_pair_slack")),
+    )
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("shape", [(6, 6, 2, 2), (5, 4, 2, 3)], ids=["square", "non-square"])
+def test_pairwise_and_stacked_refreshes_agree(monkeypatch, policy, shape):
+    instance = generate_instance(*shape, generator=Generator.UNIFORM_SIGNED, seed=22)
+    runs = {}
+    for crossover, stacked in ((0, True), (10**9, False)):
+        ranks = []  # every refresh's maximin call takes a stack, or none does
+        monkeypatch.setattr(learning, "_STACK_MIN_GAMES", crossover)
+        monkeypatch.setattr(learning, "maximin", lambda game: ranks.append(np.ndim(game)) or maximin(game))
+        runs[stacked] = [_fields(record) for record in run_episode(instance, policy, 40, seed=22)]
+        monkeypatch.undo()
+        # after the true-value table (and nash-response's mirror), only refreshes
+        refreshes = ranks[2 if policy is Policy.NASH_RESPONSE else 1:]
+        assert set(refreshes) == ({3} if stacked else {2})
+    assert runs[True] == runs[False]
+
+
 def _strategy_cases(rng, count: int):
     """Dirichlet, one-hot and rounded (tenths) strategies of length 1 to 5."""
     for case in range(count):
@@ -269,6 +297,10 @@ def test_run_episode_validation():
         run_episode(instance, "self-play", 5)
     with pytest.raises(InputError):
         run_episode(instance, Policy.SELF_PLAY, 5, noise_scale=float("inf"))
+    with pytest.raises(InputError, match="^noise_scale must be a real number"):
+        run_episode(instance, Policy.SELF_PLAY, 5, noise_scale="1")
+    with pytest.raises(InputError, match="^delta must be a real number"):
+        run_episode(instance, Policy.SELF_PLAY, 5, delta=True)
 
 
 @pytest.mark.parametrize(

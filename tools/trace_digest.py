@@ -55,6 +55,7 @@ EPISODE_SHAPES = (
     (4, 3, 3, 3, 40),
     (8, 8, 2, 2, 30),
     (16, 16, 2, 2, 20),
+    (8, 6, 2, 3, 20),
 )
 SEEDS = (1, 2)
 AUDIT_TOLS = (0.0, 1e-9, 0.05)
