@@ -33,6 +33,20 @@ def check_integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def check_sizes(**sizes) -> list[int]:
+    """Each size as an int of at least 1 that a float can hold, in order, or
+    an InputError naming the first that is not."""
+    checked = []
+    for name, value in sizes.items():
+        value = check_integer(name, value, 1)
+        try:
+            float(value)
+        except OverflowError:
+            raise InputError(f"{name} is too large for a float") from None
+        checked.append(value)
+    return checked
+
+
 def check_real(name: str, value) -> float:
     """value as a finite float, or an InputError naming the field.
 

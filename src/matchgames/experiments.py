@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_integer, check_real
+from .errors import FormatError, InputError, check_integer, check_real, check_sizes
 from .formats import read_instance, read_matching, read_strategy_profile
 from .instability import InstabilityReport, matching_instability
 from .learning import Policy, run_episode
@@ -35,11 +35,11 @@ AGGREGATE_FILENAME = "aggregate.csv"
 
 def theoretical_bound(t: int, p: int, a: int, m: int, k: int) -> float:
     """Worst-case cumulative instability guarantee after t rounds."""
-    for name, value in (("t", t), ("p", p), ("a", a), ("m", m), ("k", k)):
-        if int(value) != value or value < 1:
-            raise InputError(f"{name} must be a positive integer, got {value!r}")
-    t, p, a, m, k = int(t), int(p), int(a), int(m), int(k)
-    return 2.0 * math.sqrt(4.0 * t * m * k * p * a * math.log(4.0 * t * t * m * k * p * p * a * a)) + 2.0
+    t, p, a, m, k = check_sizes(t=t, p=p, a=a, m=m, k=k)
+    bound = 2.0 * math.sqrt(4.0 * t * m * k * p * a * math.log(4.0 * t * t * m * k * p * p * a * a)) + 2.0
+    if not math.isfinite(bound):
+        raise InputError("t, p, a, m and k are too large: the bound overflows a float")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,9 @@ def run_experiment(config: ExperimentConfig) -> RegretTrace:
     """Run all configured repetitions and write traces plus the aggregate."""
     output_dir = resolve_output_dir(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, config.runs))
+    # never more processes than CPUs: the pool forks all of them at once
+    cpus = os.cpu_count() or 1
+    workers = min(config.workers or cpus, cpus, config.runs)
     # map keeps run order, so the files do not depend on the worker count
     tasks = (repeat(config), range(config.runs), repeat(str(output_dir)))
     if workers == 1:

@@ -19,10 +19,19 @@ round's width table and solves them in one stacked maximin call, or in one
 call a side when the two sides' games differ in shape (m != k). Both routes
 give every game the same bits.
 
-Each matched agent draws its action from a per-pair random stream by
-numpy's Generator.choice rule on Python floats: cumulative sums of the
-checked strategy, each divided by the last, searched on the right for one
-uniform. The draws, and so the traces, are those of choice(n, p=x).
+Every random draw of an episode comes from one of three streams per pair
+(i, j): purpose 0 draws the left agent's action, 1 the right agent's, and 2
+the reward noise. The traces rest on this contract: stream (purpose, i, j)
+is numpy's default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, i,
+j))). The episode mixes the seed once and the key words of every stream as
+arrays into one seed table (_seed_table), which reproduces SeedSequence's
+state words word for word; a stream is built from its row the first time
+the pair is matched.
+
+Each matched agent draws its action from its stream by numpy's
+Generator.choice rule on Python floats: cumulative sums of the checked
+strategy, each divided by the last, searched on the right for one uniform.
+The draws, and so the traces, are those of choice(n, p=x).
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from .errors import InputError, check_integer, check_real
+from .errors import InputError, check_integer, check_real, check_sizes
 from .games import best_response, check_strategy, maximin
 from .instability import matching_instability
 from .market import (
@@ -57,9 +67,11 @@ class Policy(Enum):
 
 def auto_delta(T: int, p: int, a: int, m: int, k: int) -> float:
     """Default confidence level: shrinks with horizon and market size."""
-    if min(T, p, a, m, k) < 1:
-        raise InputError("auto_delta arguments must all be at least 1")
-    return 1.0 / (4.0 * T * T * p * p * a * a * m * k)
+    T, p, a, m, k = check_sizes(T=T, p=p, a=a, m=m, k=k)
+    denominator = 4.0 * T * T * p * p * a * a * m * k
+    if not math.isfinite(denominator):
+        raise InputError("T, p, a, m and k are too large: auto_delta underflows to 0")
+    return 1.0 / denominator
 
 
 @dataclass
@@ -178,6 +190,85 @@ class StepRecord:
     ucb_pair_slack: float | None
 
 
+# numpy's SeedSequence: 32-bit words, a pool of 4, and its hash constants
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _chain(start: int, mult: int, n: int) -> list[int]:
+    """The hash constant before each of n hashes, then after the last one."""
+    chain = [start]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+_STATE_CHAIN = np.array(_chain(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+
+
+def _hash(value, before, after):
+    """SeedSequence's hashmix (and its generate_state step) of value, given
+    the hash constant before and after it; on Python ints below 2**32 or on
+    uint32 arrays, which wrap as the C code does."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_table(seed: int, p: int, a: int) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(purpose, i, j)).generate_state(4,
+    np.uint64) for every purpose < 3, i < p and j < a: a (3, p, a, 4) table.
+
+    The entropy is the seed's little-endian 32-bit words, padded with zeros
+    to the pool size, then the key's three words. Every stream shares the
+    seed's words, so they are mixed once on Python ints (the pool's first
+    words, then every pool word into every other, then any words past the
+    fourth). Each key word then mixes into every pool word as a broadcast
+    uint32 array, purpose (3, 1, 1), i (p, 1) and j (a,), with the pool on
+    the last axis. The state's 8 words hash the pool twice over and are read
+    as little-endian uint64, as generate_state does.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    # 4 hashes a seed word (its own, or the pool's cross-mix) and 4 a key word
+    chain = _chain(_INIT_A, _MULT_A, _POOL * (len(words) + 3))
+    hashes = zip(chain, chain[1:])
+    pool = [_hash(word, *next(hashes)) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(hashes)))
+    pool = np.array(pool, dtype=np.uint32)
+    for n, shape in enumerate([(3, 1, 1, 1), (p, 1, 1), (a, 1)], start=len(words)):
+        key = np.arange(shape[0], dtype=np.uint32).reshape(shape)
+        step = np.array(chain[_POOL * n : _POOL * (n + 1) + 1], dtype=np.uint32)
+        pool = _mix(pool, _hash(key, step[:-1], step[1:]))
+    state = _hash(np.concatenate([pool, pool], axis=-1), _STATE_CHAIN[:-1], _STATE_CHAIN[1:])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _TableSeed(ISeedSequence):
+    """A seed sequence whose state is one precomputed row of _seed_table;
+    it answers the one request PCG64 makes, generate_state(4, np.uint64)."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
 _LEFT_ACTION, _RIGHT_ACTION, _REWARD = 0, 1, 2
 
 
@@ -216,12 +307,12 @@ def run_episode(
         delta = auto_delta(T, p, a, m, k)
     state = ConfidenceState.fresh(p, a, m, k, delta)
 
+    seeds = _seed_table(seed, p, a)
+
     @cache
     def stream(purpose: int, i: int, j: int) -> np.random.Generator:
-        """One counter-based random stream per (purpose, pair)."""
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(purpose, i, j))
-        )
+        """default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, i, j)))."""
+        return np.random.Generator(np.random.PCG64(_TableSeed(seeds[purpose, i, j])))
 
     # Left side: optimistic maximin value and strategy per pair. Right side:
     # right_value[j, i] is what right agent j expects against left agent i and

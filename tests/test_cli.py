@@ -43,6 +43,13 @@ def test_bound_prints_frozen_value(capsys):
     assert record == {"t": 1, "bound": 6.709640090061899}
 
 
+def test_bound_too_large_for_a_float_is_an_input_error(capsys):
+    assert main(["bound", "--t", "1" + "0" * 400, "--p", "1", "--a", "1", "--m", "1", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t is too large for a float\n"
+
+
 def test_solve_game_inline_matrix(capsys):
     assert main(["solve-game", "--matrix", "[[1,-1],[-1,1]]"]) == 0
     record = json.loads(capsys.readouterr().out)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from matchgames import experiments
 from matchgames.errors import FormatError, InputError
 from matchgames.experiments import (
     AGGREGATE_FILENAME,
@@ -37,6 +38,7 @@ def small_config(output_dir, **overrides) -> ExperimentConfig:
 def test_theoretical_bound_frozen_values():
     assert theoretical_bound(1, 1, 1, 1, 1) == 6.709640090061899
     assert theoretical_bound(100, 2, 2, 1, 1) == 294.5115897091079
+    assert theoretical_bound(np.int64(100), 2, 2, 1, 1) == 294.5115897091079
     assert theoretical_bound(5000, 2, 2, 2, 2) == 5378.043312600765
 
 
@@ -51,6 +53,51 @@ def test_theoretical_bound_validation():
         theoretical_bound(0, 1, 1, 1, 1)
     with pytest.raises(InputError):
         theoretical_bound(10, 1, -1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    ("sizes", "message"),
+    [
+        ((True, 1, 1, 1, 1), "^t must be an integer"),
+        ((2.0, 1, 1, 1, 1), "^t must be an integer"),
+        ((1, 1, 1, 1, np.float64(3.0)), "^k must be an integer"),
+        ((10**400, 1, 1, 1, 1), "^t is too large for a float"),
+        ((10**200, 10**200, 1, 1, 1), "the bound overflows a float"),
+    ],
+)
+def test_theoretical_bound_sizes_follow_the_integer_rule(sizes, message):
+    with pytest.raises(InputError, match=message):
+        theoretical_bound(*sizes)
+
+
+def test_run_experiment_caps_workers_at_cpu_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """A ProcessPoolExecutor stand-in: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    reference = tmp_path / "serial"
+    run_experiment(small_config(reference, runs=4))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    for name, workers in (("many", 5000), ("default", None), ("two", 2)):
+        run_experiment(small_config(tmp_path / name, runs=4, workers=workers))
+        for path in sorted(reference.iterdir()):
+            assert (tmp_path / name / path.name).read_bytes() == path.read_bytes()
+    run_experiment(small_config(tmp_path / "one-run", runs=1, workers=5000))
+    assert sizes == [2, 2, 2]  # the one-run batch needs no pool
 
 
 def test_single_run_trace_matches_direct_episode(tmp_path):

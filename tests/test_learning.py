@@ -26,6 +26,22 @@ def test_auto_delta_frozen_values():
     assert auto_delta(2000, 3, 3, 2, 2) == 1.9290123456790124e-10
 
 
+@pytest.mark.parametrize(
+    ("sizes", "message"),
+    [
+        ((2.5, 1, 1, 1, 1), "^T must be an integer"),
+        ((2.0, 1, 1, 1, 1), "^T must be an integer"),
+        ((1, True, 1, 1, 1), "^p must be an integer"),
+        ((1, 1, 0, 1, 1), "^a must be at least 1"),
+        ((1, 1, 1, 10**400, 1), "^m is too large for a float"),
+        ((10**100, 10**60, 1, 1, 1), "auto_delta underflows"),
+    ],
+)
+def test_auto_delta_sizes_follow_the_integer_rule(sizes, message):
+    with pytest.raises(InputError, match=message):
+        auto_delta(*sizes)
+
+
 def test_confidence_state_update_and_width():
     state = ConfidenceState.fresh(1, 1, 2, 2, delta=0.25)
     assert state.counts.sum() == 0
@@ -247,6 +263,39 @@ def test_draw_matches_generator_choice():
             assert learning._draw(ours, learning.check_strategy(x, len(x))) == expected
         # both streams stand at the same place afterwards
         assert ours.random() == reference.random()
+
+
+# one-word seeds at the word edges, and seeds of two to seven 32-bit words
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**128 + 11, 2**200 + 1)
+
+
+def test_seed_table_matches_seed_sequence():
+    rng = np.random.default_rng(2025)
+    random_seeds = [int.from_bytes(rng.bytes(int(n)), "little") for n in rng.integers(1, 33, size=12)]
+    for seed in (*EDGE_SEEDS, *random_seeds):
+        table = learning._seed_table(seed, 3, 4)
+        assert table.shape == (3, 3, 4, 4) and table.dtype == np.uint64
+        for purpose, i, j in np.ndindex(3, 3, 4):
+            expected = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, i, j)).generate_state(4, np.uint64)
+            assert table[purpose, i, j].tobytes() == expected.tobytes(), (seed, purpose, i, j)
+
+
+@pytest.mark.parametrize("seed", [2**64 + 1, 2**130])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_episode_streams_are_seed_sequence_streams(monkeypatch, policy, seed):
+    instance = generate_instance(3, 4, 2, 3, generator=Generator.UNIFORM_SIGNED, seed=5)
+    ours = [_fields(record) for record in run_episode(instance, policy, 30, seed=seed)]
+
+    def seed_sequences(seed, p, a):
+        table = np.empty((3, p, a), dtype=object)
+        for key in np.ndindex(3, p, a):
+            table[key] = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        return table
+
+    # the reference builds every stream as default_rng(SeedSequence(...)) did
+    monkeypatch.setattr(learning, "_seed_table", seed_sequences)
+    monkeypatch.setattr(learning, "_TableSeed", lambda sequence: sequence)
+    assert [_fields(record) for record in run_episode(instance, policy, 30, seed=seed)] == ours
 
 
 @pytest.mark.parametrize(
