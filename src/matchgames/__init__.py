@@ -20,7 +20,6 @@ from .experiments import (
 from .games import (
     GameSolution,
     best_response,
-    game_value,
     maximin,
     oracle_solve_game,
     solve_game,
@@ -81,7 +80,6 @@ __all__ = [
     "auto_delta",
     "best_response",
     "deferred_acceptance",
-    "game_value",
     "generate_instance",
     "matching_instability",
     "maximin",

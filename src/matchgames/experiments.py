@@ -250,5 +250,4 @@ def audit(instance_path, matching_path, strategies_path) -> InstabilityReport:
     instance = read_instance(instance_path)
     matching = read_matching(matching_path)
     strategies = read_strategy_profile(strategies_path)
-    matching.validate_for(instance.p, instance.a)
     return matching_instability(instance, matching, strategies)

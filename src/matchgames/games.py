@@ -4,10 +4,11 @@ Payoff matrices are plain float arrays holding the row player's payoff; the
 column player receives the negation. The LP route (maximin, solve_game) is
 the production path: it rescales the payoffs into [1, 3] and solves the
 game's packing LP with ``linprog.solve_lp``, so results do not depend on the
-payoffs' units. A single 2x2 game is scaled, solved and read back on Python
-floats, and any other single game on the numpy tableau. maximin also takes a
-stack of games, shape (..., m, k): 1x1 games read their lone entry, and any
-other shape, 2x2 included, runs as one stacked tableau, so every game in a
+payoffs' units. maximin takes one game or a stack of shape (..., m, k) and
+gives both one check, one scale by each game's max|A|, one solve_lp call
+and one read-back; 1x1 games read their lone entry. A single 2x2 game is
+scaled, solved and read back on Python floats, any other single game runs
+the numpy tableau, and a stack one stacked tableau, so every game in a
 stack gets the bits it would get alone. A stacked call costs about as much
 as 15 single 2x2 games on floats, or 2 larger ones, so learning solves a
 round's few refreshed games singly and its many as a stack.
@@ -31,14 +32,22 @@ _ORACLE_TOL = 1e-9
 _STRATEGY_SUM_TOL = 1e-9
 
 
-def as_payoff_matrix(game) -> np.ndarray:
-    """Validate and return game as a float matrix (copy only when needed)."""
+def _as_games(game) -> np.ndarray:
+    """game, one game or a stack of shape (..., m, k), as finite floats with m, k >= 1."""
     A = np.asarray(game, dtype=float)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
+    if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
         raise DimensionError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
     if not np.logical_and.reduce(np.isfinite(A), axis=None):
         raise InputError("payoff matrix contains non-finite entries")
     return A
+
+
+def as_payoff_matrix(game) -> np.ndarray:
+    """Validate and return game as a float matrix (copy only when needed)."""
+    A = np.asarray(game, dtype=float)
+    if A.ndim > 2:
+        raise DimensionError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
+    return _as_games(A)
 
 
 def check_strategy(strategy, n_actions: int) -> np.ndarray:
@@ -57,9 +66,9 @@ def check_strategy(strategy, n_actions: int) -> np.ndarray:
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
-    # np.clip(x, 0.0, None) / x.sum() without the Python wrappers, to the bit
+    # np.clip(x, 0.0, None) / x.sum(-1, keepdims=True) without the Python wrappers, to the bit
     x = np.maximum(x, 0.0)
-    return x / np.add.reduce(x)
+    return x / np.add.reduce(x, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -87,17 +96,18 @@ def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
                     and len(game[0]) == 2 == len(game[1])
                     and all(type(v) is float and abs(v) < math.inf for v in game[0] + game[1])) else None
     if rows is None:
-        A = np.asarray(game, dtype=float)
-        if A.ndim > 2:
-            return _stacked_maximin(A)
-        A = as_payoff_matrix(A)
-        if A.shape == (1, 1):
+        A = _as_games(game)
+        if A.shape[-2:] == (1, 1):
             # the LP would only add rounding noise to the lone payoff entry
-            return float(A[0, 0]), np.array([1.0])
+            value, x = A[..., 0, 0].copy(), np.ones(A.shape[:-1])
+            return (float(value), x) if A.ndim == 2 else (value, x)
         rows = A.tolist() if A.shape == (2, 2) else None
     if rows is None:
-        scale = float(np.maximum.reduce(np.abs(A), axis=None)) or 1.0
-        B = A / scale + 2.0
+        scale = np.maximum.reduce(np.abs(A), axis=(-2, -1))
+        scale = scale + (scale == 0)  # 0 becomes 1; unlike np.where, one game's stays a numpy scalar
+        B = A / scale[..., None, None] + 2.0
+        if A.ndim > 2:  # one (G, m, k) stack; a single game keeps the 2-d tableau
+            B = B.reshape(-1, *A.shape[-2:])
     else:
         (a, b), (c, d) = rows
         scale = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
@@ -107,40 +117,14 @@ def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
     except RuntimeError as exc:
         # unreachable for entries in [1, 3]: an entering column has a positive entry
         raise SolverError(
-            f"game solver failed ({exc}) on payoffs of magnitude up to {scale:.3g}"
+            f"game solver failed ({exc}) on payoffs of magnitude up to {np.max(scale):.3g}"
         ) from exc
     if rows is None:
-        return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, _normalized(u)
+        u = u.reshape(A.shape[:-1])
+        value = (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0
+        return (float(value), _normalized(u)) if A.ndim == 2 else (value, _normalized(u))
     x0, x1 = (0.0 if v <= 0.0 else v for v in u)  # np.maximum(u, 0.0): -0.0 becomes +0.0
     return (1.0 / (u[0] + u[1]) - 2.0) * scale + 0.0, np.array([x0 / (x0 + x1), x1 / (x0 + x1)])
-
-
-def _stacked_maximin(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """maximin on each game of a (..., m, k) stack, by the single-game path's rules."""
-    *lead, m, k = A.shape
-    if m < 1 or k < 1:
-        raise DimensionError(f"payoff matrices must be nonempty, got shape {A.shape}")
-    if not np.logical_and.reduce(np.isfinite(A), axis=None):
-        raise InputError("payoff matrix contains non-finite entries")
-    if (m, k) == (1, 1):
-        return A[..., 0, 0].copy(), np.ones((*lead, 1))
-    scale = np.maximum.reduce(np.abs(A), axis=(-2, -1))
-    scale[scale == 0.0] = 1.0
-    try:
-        _, u = solve_lp((A / scale[..., None, None] + 2.0).reshape(-1, m, k))
-    except RuntimeError as exc:
-        raise SolverError(
-            f"game solver failed ({exc}) on payoffs of magnitude up to {scale.max():.3g}"
-        ) from exc
-    u = u.reshape(*lead, m)
-    x = np.maximum(u, 0.0)
-    value = (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0
-    return value, x / np.add.reduce(x, axis=-1, keepdims=True)
-
-
-def game_value(game) -> float:
-    """Minimax value of the game (row player's guarantee)."""
-    return maximin(game)[0]
 
 
 def solve_game(game) -> GameSolution:

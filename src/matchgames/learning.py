@@ -10,12 +10,12 @@ it from the right side's own optimistic maximin, NASH_RESPONSE fills it once
 from the exact game solutions, and BEST_RESPONSE refreshes it with pure best
 responses to the left side's current optimistic strategies.
 
-A round that refreshes fewer than _STACK_MIN_GAMES optimistic games (12:
-every round of a 2x2 market, and the later rounds of small ones) solves them
-pair by pair, a 2x2 pair's formed and solved on Python floats up to the
-strategy's array. A round with more (the first round of a large market, or
-a later one with many matched pairs) builds them as numpy stacks from the
-round's width table and solves them in one stacked maximin call, or in one
+A round forms its refreshed optimistic games once, as numpy stacks from the
+round's width table. Fewer than _STACK_MIN_GAMES of them (12: every round of
+a 2x2 market, and the later rounds of small ones) are solved one by one from
+the stacks' nested lists of Python floats, on which maximin solves a 2x2
+game without numpy. More (the first round of a large market, or a later one
+with many matched pairs) are solved in one stacked maximin call, or in one
 call a side when the two sides' games differ in shape (m != k). Both routes
 give every game the same bits.
 
@@ -113,22 +113,10 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     width = state.width(i, j)
     if side is Side.LEFT:
         return state.means[i, j] + width
-    return -state.means[i, j].T + width.T
+    return (width - state.means[i, j]).T
 
 
-def _optimistic(state: ConfidenceState, i: int, j: int, side: Side = Side.LEFT):
-    """ucb_matrix(state, (i, j), side); a 2x2 pair's as the same Python floats, in lists."""
-    if state.counts.shape[2:] != (2, 2):
-        return ucb_matrix(state, (i, j), side)
-    radius = 2.0 * math.log(1.0 / state.delta)
-    (m00, m01), (m10, m11) = state.means[i, j].tolist()
-    w00, w01, w10, w11 = [math.sqrt(radius / max(n, 1)) for n in state.counts[i, j].ravel().tolist()]
-    if side is Side.LEFT:
-        return [[m00 + w00, m01 + w01], [m10 + w10, m11 + w11]]
-    return [[-m00 + w00, -m10 + w10], [-m01 + w01, -m11 + w11]]
-
-
-# A round with fewer refreshed games than this solves them pair by pair; from
+# A round with fewer refreshed games than this solves them one by one; from
 # here up, as stacks. Measured on a 2-CPU Xeon VM (Python 3.11.7, numpy
 # 2.4.6), a stacked call costs about 0.3 ms plus 3 us a game. A 2x2 game
 # costs about 18 us pair by pair, on Python floats, so on 2x2 games the
@@ -142,16 +130,17 @@ _STACK_MIN_GAMES = 12
 def _solve_optimistic(state: ConfidenceState, widths: np.ndarray, pairs, sides) -> list:
     """Optimistic maximin (value, strategy) of each pair's game, one sequence per side.
 
-    widths is state.width(). Fewer than _STACK_MIN_GAMES games are solved
-    pair by pair from _optimistic; more as stacks of ucb_matrix's games, in
-    one maximin call when both sides' games share a shape (m == k) and in
-    one call per side otherwise. Either way each answer has the same bits.
+    widths is state.width(). Each side's games form one stack, by ucb_matrix's
+    formula. Fewer than _STACK_MIN_GAMES games are solved one by one from the
+    stacks' nested lists of Python floats; more in one maximin call when both
+    sides' games share a shape (m == k) and in one call per side otherwise.
+    Either way each answer has the same bits.
     """
-    if len(sides) * len(pairs) < _STACK_MIN_GAMES:
-        return [[maximin(_optimistic(state, i, j, side)) for i, j in pairs] for side in sides]
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     means, radii = state.means[rows, cols], widths[rows, cols]
     stacks = [means + radii if side is Side.LEFT else np.swapaxes(radii - means, 1, 2) for side in sides]
+    if len(sides) * len(pairs) < _STACK_MIN_GAMES:
+        return [[maximin(game) for game in stack.tolist()] for stack in stacks]
     if len(stacks) == 2 and stacks[0].shape == stacks[1].shape:
         values, plays = maximin(np.concatenate(stacks))
         n = len(pairs)

@@ -4,11 +4,11 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 (Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
-until no reduced cost is negative. Three kernels share that pivot rule:
-games.maximin hands a single 2x2 B over as nested lists of Python floats,
-whose pivots run in closed form on those; any other single B runs the numpy
-_tableau; and a (G, m, k) stack of G games runs _stacked, one tableau for
-the whole stack, which gives every game _tableau's answer to the bit.
+until no reduced cost is negative. games.maximin's one solve_lp call reaches
+three kernels that share that pivot rule: a single 2x2 B, as nested lists of
+Python floats, pivots in closed form on those; any other single B runs the
+numpy _tableau; and a (G, m, k) stack of G games runs _stacked, one tableau
+for the whole stack, which gives every game _tableau's answer to the bit.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from matchgames.experiments import (
     run_trace_path,
     theoretical_bound,
 )
-from matchgames.games import game_value, oracle_solve_game, solve_game
+from matchgames.games import maximin, oracle_solve_game, solve_game
 from matchgames.instability import matching_instability, oracle_mi, realized_utilities, subset_instability
 from matchgames.learning import Policy, run_episode
 from matchgames.market import (
@@ -232,7 +232,7 @@ def test_reduction_cases():
         matching = Matching(((0, 0),))
         profile = random_profile(instance, matching, rng)
         realized = realized_utilities(instance, matching, profile)
-        expected = abs(game_value(instance.games[0, 0]) - realized[AgentId.left(0)])
+        expected = abs(maximin(instance.games[0, 0])[0] - realized[AgentId.left(0)])
         mi = matching_instability(instance, matching, profile).value
         assert mi >= 0.0
         assert abs(mi - expected) <= 1e-9

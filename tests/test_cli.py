@@ -482,3 +482,15 @@ def test_module_invocation():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["t"] == 2
+
+
+def test_audit_pair_out_of_range_is_input_error(audit_files, tmp_path, capsys):
+    instance_path, _, strategies_path = audit_files
+    matching_path = tmp_path / "far.json"
+    write_matching(Matching(((0, 0), (1, 5))), matching_path)
+    argv = ["audit", "--instance", instance_path, "--matching", str(matching_path),
+            "--strategies", strategies_path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pair (1, 5) out of range for market 2x2\n"

@@ -8,7 +8,6 @@ from matchgames.errors import DimensionError, InputError
 from matchgames.games import (
     best_response,
     check_strategy,
-    game_value,
     maximin,
     oracle_solve_game,
     solve_game,
@@ -47,7 +46,7 @@ def test_value_with_nonunique_column_strategy():
     # every column mix holds the maximizer to 1, so only pin the value
     sol = solve_game(np.array([[1.0, 1.0], [1.0, 0.0]]))
     assert sol.value == pytest.approx(1.0, abs=TOL)
-    assert game_value(np.array([[1.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=TOL)
+    assert maximin(np.array([[1.0, 1.0], [1.0, 0.0]]))[0] == pytest.approx(1.0, abs=TOL)
 
 
 def test_antisymmetric_games_have_value_zero():
@@ -56,7 +55,7 @@ def test_antisymmetric_games_have_value_zero():
         n = int(rng.integers(2, 5))
         B = rng.normal(size=(n, n))
         game = B - B.T
-        assert abs(game_value(game)) <= TOL
+        assert abs(maximin(game)[0]) <= TOL
 
 
 def test_value_shift_equivariance():
@@ -191,7 +190,7 @@ def test_value_identities_hold_at_every_scale():
                 assert (strategy >= 0.0).all() and abs(strategy.sum() - 1.0) <= TOL
             assert (game.T @ sol.row_strategy >= sol.value - tol).all(), (A, c, d)
             assert (game @ sol.column_strategy <= sol.value + tol).all(), (A, c, d)
-            assert abs(game_value(-game.T) + sol.value) <= tol, (A, c, d)
+            assert abs(maximin(-game.T)[0] + sol.value) <= tol, (A, c, d)
 
 
 def test_wrapper_reductions_are_the_former_ones():
@@ -211,14 +210,29 @@ def test_wrapper_reductions_are_the_former_ones():
     for u in vectors:
         clipped = np.clip(u, 0.0, None)
         assert games._normalized(u).tobytes() == (clipped / clipped.sum()).tobytes()
+    # a stacked u of shape (G, m) normalizes each row as the 1-d form does
+    for n in range(1, 6):
+        U = rng.choice([-0.0, 0.0, -1e-17, 1e-17, 1e-300, 0.25, 0.5], size=(7, n))
+        U[np.arange(7), rng.integers(0, n, size=7)] = rng.uniform(0.1, 1.0, size=7)
+        clipped = np.clip(U, 0.0, None)
+        assert games._normalized(U).tobytes() == (clipped / clipped.sum(axis=1, keepdims=True)).tobytes()
+        assert games._normalized(U).tobytes() == np.concatenate([games._normalized(u) for u in U]).tobytes()
     for m in range(2, 6):
         for k in range(2, 6):
             for integer in (True, False):
-                for _ in range(25):
-                    A = rng.integers(-2, 3, size=(m, k)).astype(float) if integer else rng.normal(size=(m, k))
+                stack = rng.integers(-2, 3, size=(25, m, k)).astype(float) if integer else rng.normal(size=(25, m, k))
+                for A in stack:
                     value, x = maximin(A)
+                    assert type(value) is float  # a single game's value, as a stack's is an array
                     scale = float(np.abs(A).max()) or 1.0
                     _, u = games.solve_lp(A / scale + 2.0)
                     clipped = np.clip(u, 0.0, None)
                     assert value.hex() == ((1.0 / float(u.sum()) - 2.0) * scale + 0.0).hex()
                     assert x.tobytes() == (clipped / clipped.sum()).tobytes()
+                values, X = maximin(stack)
+                scale = np.abs(stack).max(axis=(1, 2))
+                scale[scale == 0.0] = 1.0
+                _, U = games.solve_lp(stack / scale[:, None, None] + 2.0)
+                clipped = np.clip(U, 0.0, None)
+                assert values.tobytes() == ((1.0 / U.sum(axis=1) - 2.0) * scale + 0.0).tobytes()
+                assert X.tobytes() == (clipped / clipped.sum(axis=1, keepdims=True)).tobytes()

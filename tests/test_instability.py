@@ -7,7 +7,7 @@ import pytest
 from conftest import build_example_market, build_example_profile
 
 from matchgames.errors import DimensionError, InputError
-from matchgames.games import game_value, oracle_solve_game, solve_game
+from matchgames.games import maximin, oracle_solve_game, solve_game
 from matchgames.instability import (
     TAG_COVER,
     TAG_NONE,
@@ -147,7 +147,7 @@ def test_value_rationality_floor_and_tag():
     assert report.binding[AgentId.right(0)] == TAG_VALUE_GAP
     assert report.binding[AgentId.left(0)] == TAG_NONE
     realized = realized_utilities(instance, Matching(((0, 0),)), profile)
-    assert abs(game_value(instance.games[0, 0]) - realized[AgentId.left(0)]) == pytest.approx(
+    assert abs(maximin(instance.games[0, 0])[0] - realized[AgentId.left(0)]) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -256,7 +256,7 @@ def test_one_by_one_markets_reduce_to_value_gap():
         matching = Matching(((0, 0),))
         mi = matching_instability(instance, matching, profile)
         realized = realized_utilities(instance, matching, profile)
-        expected = abs(game_value(instance.games[0, 0]) - realized[AgentId.left(0)])
+        expected = abs(maximin(instance.games[0, 0])[0] - realized[AgentId.left(0)])
         assert mi.value == pytest.approx(expected, abs=1e-12)
 
 
@@ -536,7 +536,7 @@ def test_audit_scales_with_payoff_units():
 def test_empty_matching_audit_at_n30_is_bounded():
     n = 30
     instance = generate_instance(n, n, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=39)
-    values = np.array([[game_value(instance.games[i, j]) for j in range(n)] for i in range(n)])
+    values = np.array([[maximin(instance.games[i, j])[0] for j in range(n)] for i in range(n)])
     report = matching_instability(instance, Matching(()), {}, game_values=values)
     assert len(report.active_pairs) >= 700
     # unmatched agents sit at their outside options, so every floor is zero

@@ -70,18 +70,37 @@ def test_right_view_is_negated_transpose():
     assert (right_up == (-state.means[0, 0] + width).T).all()
 
 
-def test_float_ucb_entries_match_ucb_matrix():
-    # run_episode reads a 2x2 pair's optimistic games as Python floats
+@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (2, 3, 2, 3)], ids=["2x2-games", "2x3-games"])
+def test_solved_optimistic_games_are_ucb_matrix(monkeypatch, shape):
+    # run_episode forms a round's optimistic games once, as a stack a side; on
+    # both sides of the crossover, every game it hands maximin must be
+    # ucb_matrix's to the byte, and below it a list of Python floats
+    p, a, m, k = shape
     rng = np.random.default_rng(17)
-    state = ConfidenceState.fresh(2, 3, 2, 2, delta=auto_delta(1000, 2, 3, 2, 2))
+    state = ConfidenceState.fresh(p, a, m, k, delta=auto_delta(1000, p, a, m, k))
+    calls = []
+    monkeypatch.setattr(learning, "maximin", lambda game: calls.append(game) or maximin(game))
+    every_pair = list(np.ndindex(p, a))
+    # 10 games run one by one and 12 as stacks, at _STACK_MIN_GAMES = 12
+    cases = [(every_pair[:5], tuple(Side), False), (every_pair, tuple(Side), True),
+             (every_pair, (Side.LEFT,), False)]
+    assert learning._STACK_MIN_GAMES == 12
     for _ in range(200):
         state.counts[...] = rng.integers(0, 50, size=state.counts.shape) * rng.integers(0, 2, size=state.counts.shape)
         state.means[...] = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=state.means.shape)
-        for i, j in np.ndindex(2, 3):
-            for side in Side:
-                game = learning._optimistic(state, i, j, side)
-                assert all(type(v) is float for row in game for v in row)
-                assert np.array(game).tobytes() == ucb_matrix(state, (i, j), side).tobytes()
+        for pairs, sides, stacked in cases:
+            calls.clear()
+            solved = learning._solve_optimistic(state, state.width(), pairs, sides)
+            assert [len(list(answers)) for answers in solved] == [len(pairs)] * len(sides)
+            if stacked:
+                assert all(type(call) is np.ndarray and call.ndim == 3 for call in calls)
+                games = [game for call in calls for game in call]
+            else:
+                assert all(type(v) is float for game in calls for row in game for v in row)
+                games = [np.array(game) for game in calls]
+            expected = [ucb_matrix(state, pair, side) for side in sides for pair in pairs]
+            assert [game.shape for game in games] == [game.shape for game in expected]
+            assert [game.tobytes() for game in games] == [game.tobytes() for game in expected]
 
 
 def test_first_round_matches_assortatively():
