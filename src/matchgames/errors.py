@@ -20,15 +20,15 @@ class SolverError(InputError):
     """Raised when the game kernel's guard trips on finite payoffs (a valid game never does)."""
 
 
-def check_integer(name: str, value, minimum: int) -> int:
+def check_integer(name: str, value, minimum: int | None = None) -> int:
     """value as an int, or an InputError naming the field.
 
-    Python and numpy integers of at least minimum are accepted; a bool, a
-    float (even 2.0) or a string is refused rather than truncated or read.
+    Python and numpy integers of at least minimum (if given) are accepted; a
+    bool, a float (even 2.0) or a string is refused rather than truncated or read.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise InputError(f"{name} must be at least {minimum}, got {value!r}")
     return int(value)
 

@@ -14,7 +14,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from itertools import repeat
 from pathlib import Path
 
@@ -80,22 +81,12 @@ class ExperimentConfig:
 
     def record(self) -> dict:
         """Scientific parameters only; echoing this is scheduling-independent."""
-        return {
-            "format": "experiment-config",
-            "version": 1,
-            "p": self.p,
-            "a": self.a,
-            "m": self.m,
-            "k": self.k,
-            "T": self.T,
-            "runs": self.runs,
-            "seeds_base": self.seeds_base,
-            "policy": self.policy.value,
-            "generator": self.generator.value,
-            "outside_option": self.outside_option,
-            "delta": self.delta,
-            "noise_scale": self.noise_scale,
-        }
+        record = {"format": "experiment-config", "version": 1}
+        for field in fields(self):
+            if field.name not in ("output_dir", "workers"):
+                value = getattr(self, field.name)
+                record[field.name] = value.value if isinstance(value, Enum) else value
+        return record
 
 
 @dataclass(frozen=True)

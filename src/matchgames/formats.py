@@ -29,9 +29,17 @@ def _dump(document: dict, path) -> None:
 
 
 def _decode(text: str, where):
-    """text parsed as JSON; a syntax error is a FormatError naming where and the position."""
+    """text parsed as JSON; a syntax error or a repeated key is a FormatError naming where."""
+
+    def unique(pairs: list) -> dict:
+        document = dict(pairs)
+        if len(document) < len(pairs):  # json.loads alone would keep the last value silently
+            keys = [key for key, _ in pairs]
+            raise FormatError(f"{where}: duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+        return document
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
@@ -212,8 +220,6 @@ def write_preferences(prefs: PreferenceProfile, path) -> None:
             "version": FORMAT_VERSION,
             "left": [list(lst) for lst in prefs.left],
             "right": [list(lst) for lst in prefs.right],
-            "left_threshold": list(prefs.left_threshold),
-            "right_threshold": list(prefs.right_threshold),
         },
         path,
     )
@@ -228,19 +234,8 @@ def read_preferences(path) -> PreferenceProfile:
             lists[name] = tuple(tuple(_whole(index) for index in lst) for lst in raw)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: field {name!r}: bad preference lists: {exc}") from exc
-
-    def thresholds(name: str) -> tuple:
-        raw = document.get(f"{name}_threshold")
-        return () if raw is None else tuple(_reals(raw, f"field '{name}_threshold'", vector=True).tolist())
-
     try:
-        # PreferenceProfile fills missing thresholds with zeros
-        return PreferenceProfile(
-            left=lists["left"],
-            right=lists["right"],
-            left_threshold=thresholds("left"),
-            right_threshold=thresholds("right"),
-        )
+        return PreferenceProfile(left=lists["left"], right=lists["right"])
     except (InputError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad preference lists: {exc}") from exc
 

@@ -4,7 +4,8 @@ Both metrics minimize the sum of per-agent subsidies subject to three
 families of constraints: no agent is worse off than its outside option
 (participation), no agent can gain by deviating inside its current match
 (value rationality, strategy-aware metric only), and no cross pair can
-jointly deviate (blocking cover). Subsidies are nonnegative.
+jointly deviate (blocking cover). Subsidies are nonnegative. A report's
+value is its one total, its subsidies added left to right in a plain loop.
 
 The exact solver works on lists, with left agent i numbered i and right
 agent j numbered p + j; AgentIds are built only for the report. It takes
@@ -46,11 +47,6 @@ TAG_COVER = "C1-cover"
 @dataclass(frozen=True)
 class SubsidyVector:
     amounts: dict
-    total: float
-
-    @classmethod
-    def of(cls, amounts: dict) -> SubsidyVector:
-        return cls(amounts=dict(amounts), total=float(sum(amounts.values())))
 
 
 @dataclass(frozen=True)
@@ -289,10 +285,12 @@ def _audit(
         else TAG_PARTICIPATION if term >= gap else TAG_VALUE_GAP
         for agent, amount, floor, term, gap in terms
     }
-    subsidies = SubsidyVector.of(dict(zip(agents, final)))
+    total = 0.0
+    for amount in final:  # left to right; sum() compensates from Python 3.12 on
+        total += amount
     return InstabilityReport(
-        value=subsidies.total,
-        subsidies=subsidies,
+        value=total,
+        subsidies=SubsidyVector(dict(zip(agents, final))),
         active_pairs=tuple((i, j - p) for i, j, _, _ in pairs),
         binding=binding,
     )
@@ -314,9 +312,7 @@ def matching_instability(
     call. game_values may carry precomputed left-view values (shape p x a, all
     finite) so repeated audits of one instance can skip re-solving the games.
     """
-    if game_values is None:
-        values = maximin(instance.games)[0]
-    else:
+    if game_values is not None:
         values = np.asarray(game_values, dtype=float)
         if values.shape != (instance.p, instance.a):
             raise DimensionError(
@@ -324,7 +320,10 @@ def matching_instability(
             )
         if not np.isfinite(values).all():
             raise InputError("game_values contains non-finite entries")
+    # the matching and the profile are checked before any game is solved
     realized = _realized(instance, matching, strategies)
+    if game_values is None:
+        values = maximin(instance.games)[0]
     outside = (instance.left_outside, instance.right_outside)
     return _audit(values, -values.T, matching, realized, outside, tol)
 
@@ -348,10 +347,11 @@ def oracle_mi(instance: MarketInstance, matching: Matching, strategies: dict) ->
     Builds per-agent candidate subsidy grids (the agent's own lower bound
     plus every cross-pair gap it appears in) and checks every combination
     against the constraint system directly. Game values come from the
-    enumeration-based game oracle, keeping the whole route off the LP path.
-    Only the total is returned, so the min cut's choice among tied optimal
-    covers (the one raising left agents least) cannot show here. Only
-    desk-scale markets are accepted.
+    enumeration-based game oracle and realized payoffs from a loop of its
+    own, keeping the route off the LP path and off the audit's checks. Only
+    the total is returned, so the min cut's choice among tied optimal covers
+    (the one raising left agents least) cannot show here. Only desk-scale
+    markets are accepted.
     """
     if instance.p > ORACLE_MAX_AGENTS_PER_SIDE or instance.a > ORACLE_MAX_AGENTS_PER_SIDE:
         raise InputError(
@@ -365,10 +365,13 @@ def oracle_mi(instance: MarketInstance, matching: Matching, strategies: dict) ->
             for i in range(instance.p)
         ]
     )
-    realized = realized_utilities(instance, matching, strategies)
     agents = instance.agents()
 
     outside = instance.left_outside.tolist() + instance.right_outside.tolist()
+    realized = dict(zip(agents, outside))
+    for i, j in matching.pairs:
+        payoff = float(strategies[AgentId.left(i)] @ instance.games[i, j] @ strategies[AgentId.right(j)])
+        realized[AgentId.left(i)], realized[AgentId.right(j)] = payoff, -payoff
     lower = {agent: max(0.0, o - realized[agent]) for agent, o in zip(agents, outside)}
     for i, j in matching.pairs:
         value, left, right = float(values[i, j]), AgentId.left(i), AgentId.right(j)

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -33,12 +34,11 @@ class AgentId:
     index: int
 
     def __post_init__(self):
-        if self.index < 0:
-            raise InputError(f"agent index must be nonnegative, got {self.index}")
+        object.__setattr__(self, "index", check_integer("agent index", self.index, 0))
 
     # Ids are frozen and compare by value, so one shared instance per index
-    # serves every caller; typed keys keep 1, 1.0 and True apart, and the
-    # bound keeps memory flat whatever indices callers pass.
+    # serves every caller; typed keys keep 1, 1.0 and True apart, so a refused
+    # index is refused every time, and the bound keeps memory flat.
     @classmethod
     @lru_cache(maxsize=1024, typed=True)
     def left(cls, index: int) -> AgentId:
@@ -72,8 +72,10 @@ class MarketInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        if min(self.p, self.a, self.m, self.k) < 1:
-            raise InputError("market dimensions must all be at least 1")
+        for name in ("p", "a", "m", "k"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         games = np.asarray(self.games, dtype=float)
         lo = np.atleast_1d(np.asarray(self.left_outside, dtype=float))
         ro = np.atleast_1d(np.asarray(self.right_outside, dtype=float))
@@ -96,6 +98,14 @@ class MarketInstance:
         ]
 
 
+def _index_rows(rows, name: str) -> tuple:
+    """rows as int tuples; a bool or a non-integral entry is an InputError naming name."""
+    rows = tuple(map(tuple, rows))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:  # one C-level pass if all are ints
+        rows = tuple(tuple(check_integer(name, index) for index in row) for row in rows)
+    return rows
+
+
 @dataclass(frozen=True)
 class Matching:
     """A set of disjoint (left index, right index) pairs."""
@@ -103,7 +113,7 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(i), int(j)) for i, j in self.pairs))
+        pairs = tuple(sorted(_index_rows(self.pairs, "matched index")))
         left, right = set(), set()
         for i, j in pairs:
             if i < 0 or j < 0:
@@ -127,18 +137,15 @@ class Matching:
 class PreferenceProfile:
     """Truncated strict preference lists over opposite-side indices.
 
-    Lists hold acceptable partners only, best first. Thresholds record the
-    outside options the lists were truncated at.
+    Lists hold acceptable partners only, best first: deferred acceptance reads nothing else.
     """
 
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-    left_threshold: tuple[float, ...] = ()
-    right_threshold: tuple[float, ...] = ()
 
     def __post_init__(self):
-        left = tuple(tuple(map(int, lst)) for lst in self.left)
-        right = tuple(tuple(map(int, lst)) for lst in self.right)
+        left = _index_rows(self.left, "left preference list entry")
+        right = _index_rows(self.right, "right preference list entry")
         for lst, bound, label in (
             *[(lst, len(right), "left") for lst in left],
             *[(lst, len(left), "right") for lst in right],
@@ -149,14 +156,6 @@ class PreferenceProfile:
                 raise DimensionError(f"{label} preference list {lst} references index out of range")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        for name, lists in (("left", left), ("right", right)):
-            raw = getattr(self, f"{name}_threshold")
-            thresholds = tuple(map(float, raw)) if raw else (0.0,) * len(lists)
-            if len(thresholds) != len(lists):
-                raise DimensionError(
-                    f"{name}_threshold has {len(thresholds)} entries for {len(lists)} agents"
-                )
-            object.__setattr__(self, f"{name}_threshold", thresholds)
 
 
 @dataclass(frozen=True)
@@ -222,8 +221,6 @@ def preferences_from_values(
     return PreferenceProfile(
         lists(table.left, table.left_outside),
         lists(table.right, table.right_outside),
-        tuple(table.left_outside.tolist()),
-        tuple(table.right_outside.tolist()),
     )
 
 

@@ -12,6 +12,7 @@ from matchgames.cli import entry, main
 from matchgames.experiments import ExperimentConfig
 from matchgames.formats import (
     read_instance,
+    read_preferences,
     write_instance,
     write_matching,
     write_preferences,
@@ -236,32 +237,21 @@ def test_audit_bool_number_is_input_error(audit_files, tmp_path, capsys, documen
     assert captured.out == "" and field in captured.err and refused in captured.err
 
 
-def test_match_bool_threshold_is_input_error(tmp_path, capsys):
-    prefs_path = tmp_path / "prefs.json"
-    prefs_path.write_text(
-        '{"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": [false]}'
-    )
-    assert main(["match", "--preferences", str(prefs_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "'right_threshold'" in captured.err
-    # a string is refused too, not parsed as the number it spells
-    prefs_path.write_text(
-        '{"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": ["0.25"]}'
-    )
-    assert main(["match", "--preferences", str(prefs_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "'left_threshold'" in captured.err and "strings" in captured.err
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_match_scalar_threshold_is_input_error(tmp_path, capsys, side):
-    prefs_path = tmp_path / "prefs.json"
-    prefs_path.write_text(
-        '{"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "%s_threshold": 0.5}' % side
-    )
-    assert main(["match", "--preferences", str(prefs_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and f"'{side}_threshold'" in captured.err and "flat list" in captured.err
+def test_preferences_with_threshold_keys_read_and_match_as_before(tmp_path, capsys):
+    # a preferences file as written before the profile dropped its thresholds
+    lists = {"left": [[1, 0], [0]], "right": [[1, 0], [0, 1]]}
+    plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
+    plain.write_text(json.dumps({"format": "preferences", "version": 1, **lists}))
+    legacy.write_text(json.dumps({"format": "preferences", "version": 1, **lists,
+                                  "left_threshold": [-0.5, 0.25], "right_threshold": [0.0, 0.0]}))
+    assert read_preferences(legacy) == read_preferences(plain) == PreferenceProfile(((1, 0), (0,)), ((1, 0), (0, 1)))
+    printed = []
+    for path in (plain, legacy):
+        assert main(["match", "--preferences", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.append(captured.out)
+    assert printed[0] == printed[1] and json.loads(printed[0])["pairs"] == [[0, 1], [1, 0]]
 
 
 def test_audit_reports_instability(audit_files, capsys):

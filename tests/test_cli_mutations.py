@@ -5,7 +5,8 @@ preference or config document: the value becomes a bool, a string, null, a
 list or a huge or non-finite number, or its field or entry is deleted (the
 method of Miller, Fredriksen and So, 1990). Whatever the mutation,
 ``cli.main`` must exit 0, 2 or 3 without a traceback, and a refusal is one
-``error:`` line on stderr.
+``error:`` line on stderr. A field written twice in the JSON text, which no
+dict can hold, is refused with exit 2 wherever it stands.
 """
 
 import copy
@@ -76,7 +77,7 @@ def documents(tmp_path):
     """A valid document of each kind, read back from the writers' files."""
     profile = {AgentId.left(0): [0.5, 0.5], AgentId.left(1): [1.0, 0.0],
                AgentId.right(0): [0.25, 0.75], AgentId.right(1): [0.0, 1.0]}
-    prefs = PreferenceProfile(((0, 1), (1,)), ((1, 0), (0, 1)), (0.0, -0.5), (0.25, 0.0))
+    prefs = PreferenceProfile(((0, 1), (1,)), ((1, 0), (0, 1)))
     return {
         "matrix": [[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]],
         "instance": _read(write_instance, generate_instance(2, 2, 2, 2, seed=3), tmp_path / "i.json"),
@@ -124,3 +125,35 @@ def test_mutated_documents_exit_cleanly(tmp_path, capsys, documents, kind):
         exits.add(code)
     # the mutations both refuse documents and leave some valid
     assert 2 in exits
+
+
+def _duplicated(document, position) -> str:
+    """document as JSON text with the field at position written twice, the same value both times."""
+    marked = copy.deepcopy(document)
+    *parents, key = position
+    parent = marked
+    for step in parents:
+        parent = parent[step]
+    entry = f"{json.dumps(key)}: {json.dumps(parent[key])}"
+    parent[key] = mark = "\N{BULLET} written twice"  # no document holds this text
+    return json.dumps(marked).replace(f"{json.dumps(key)}: {json.dumps(mark)}", f"{entry}, {entry}")
+
+
+@pytest.mark.parametrize("kind", [kind for kind in CASES if kind != "matrix"])
+def test_duplicated_fields_exit_2(tmp_path, capsys, documents, kind):
+    """Every field of every object, top level or nested, written twice."""
+    argv = _argv(kind, documents, tmp_path)
+    fields = [position for position in _positions(documents[kind]) if isinstance(position[-1], str)]
+    assert len(fields) >= 3
+    for position in fields:
+        text = _duplicated(documents[kind], position)
+        assert json.loads(text) == documents[kind]  # the same document, read by a plain decoder
+        (tmp_path / f"{kind}.json").write_text(text)
+        assert main(argv) == 2, position
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / kind}.json: duplicate key {position[-1]!r}\n", (position, err)
+
+
+def test_duplicated_matrix_key_exits_2(capsys):
+    assert main(["solve-game", "--matrix", '{"rows": [[1.0]], "rows": [[2.0]]}']) == 2
+    assert capsys.readouterr().err == "error: --matrix: duplicate key 'rows'\n"

@@ -72,30 +72,14 @@ def test_strategy_profile_round_trip(tmp_path):
 
 
 def test_preferences_round_trip(tmp_path):
-    prefs = PreferenceProfile(
-        ((1, 0), ()),
-        ((0,), (1, 0)),
-        left_threshold=(-0.5, 0.25),
-        right_threshold=(0.0, 0.0),
-    )
+    prefs = PreferenceProfile(((1, 0), ()), ((0,), (1, 0)))
     path = tmp_path / "prefs.json"
     write_preferences(prefs, path)
+    assert json.loads(path.read_text()) == {
+        "format": "preferences", "version": 1, "left": [[1, 0], []], "right": [[0], [1, 0]]
+    }
     loaded = read_preferences(path)
     assert loaded == prefs
-
-
-def test_preferences_thresholds_default_to_zero(tmp_path):
-    path = tmp_path / "prefs.json"
-    document = {
-        "format": "preferences",
-        "version": 1,
-        "left": [[0]],
-        "right": [[0]],
-    }
-    path.write_text(json.dumps(document))
-    loaded = read_preferences(path)
-    assert loaded.left_threshold == (0.0,)
-    assert loaded.right_threshold == (0.0,)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -298,12 +282,6 @@ def _instance_document(**changes) -> dict:
         (read_strategy_profile,
          {"format": "strategy-profile", "version": 1, "left": {}, "right": {"1": [0.0, False, 1.0]}},
          "right agent '1'", "true or false"),
-        (read_preferences,
-         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": [True]},
-         "field 'left_threshold'", "true or false"),
-        (read_preferences,
-         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": False},
-         "field 'right_threshold'", "true or false"),
         # a string is refused, not parsed, even when it spells a number
         (read_instance, _instance_document(games=[[[["0.5", "-0.5"]]]]), "field 'games'", "strings"),
         (read_instance, _instance_document(games=[[[[0.5, "-0.5"]]]]), "field 'games'", "strings"),
@@ -313,33 +291,18 @@ def _instance_document(**changes) -> dict:
          "field 'outside_options.right'", "strings"),
         (read_strategy_profile, {"format": "strategy-profile", "version": 1, "left": {"0": ["1"]}, "right": {}},
          "left agent '0'", "strings"),
-        (read_preferences,
-         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "left_threshold": ["0.25"]},
-         "field 'left_threshold'", "strings"),
-        (read_preferences,
-         {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], "right_threshold": "0"},
-         "field 'right_threshold'", "strings"),
     ],
     ids=[
         "games-true", "games-false", "outside-left", "outside-right",
-        "strategy-left", "strategy-right", "left-threshold", "right-threshold",
+        "strategy-left", "strategy-right",
         "games-strings", "games-string", "outside-left-string", "outside-right-string",
-        "strategy-left-string", "left-threshold-string", "right-threshold-string",
+        "strategy-left-string",
     ],
 )
 def test_bool_is_not_read_as_a_number(tmp_path, reader, document, field, refused):
     path = _document(tmp_path, "document.json", document)
     with pytest.raises(FormatError, match=re.escape(field) + ".*not " + refused):
         reader(path)
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("value", [0.5, [[0.5]]], ids=["scalar", "nested"])
-def test_threshold_must_be_a_flat_list(tmp_path, side, value):
-    document = {"format": "preferences", "version": 1, "left": [[0]], "right": [[0]], f"{side}_threshold": value}
-    path = _document(tmp_path, "prefs.json", document)
-    with pytest.raises(FormatError, match=f"field '{side}_threshold' must be a flat list of numbers"):
-        read_preferences(path)
 
 
 def test_integers_beyond_int64_are_read_as_numbers(tmp_path):

@@ -361,6 +361,36 @@ def test_profile_validation():
             )
 
 
+def test_audit_checks_its_inputs_before_it_solves(monkeypatch):
+    import matchgames.instability as instability
+
+    calls = []
+
+    def recording_maximin(game):
+        calls.append(np.shape(game))
+        return maximin(game)
+
+    monkeypatch.setattr(instability, "maximin", recording_maximin)
+    instance = generate_instance(2, 2, 2, 2, seed=5)
+    half = np.array([0.5, 0.5])
+    with pytest.raises(DimensionError, match="out of range"):
+        matching_instability(instance, Matching(((2, 0),)), {AgentId.left(2): half, AgentId.right(0): half})
+    with pytest.raises(InputError, match="missing"):
+        matching_instability(instance, Matching(((0, 1),)), {AgentId.left(0): half})
+    assert calls == []
+    matching_instability(instance, Matching(((0, 1),)), {AgentId.left(0): half, AgentId.right(1): half})
+    assert calls == [(2, 2, 2, 2)]
+
+
+def test_total_adds_the_subsidies_left_to_right():
+    # ten floors of 0.1: added left to right they make 0.9999999999999999, the
+    # bits of Python 3.11's sum(); a compensated sum (3.12 on) would give 1.0
+    utilities = UtilityTable(np.zeros((5, 5)), np.zeros((5, 5)), (0.1,) * 5, (0.1,) * 5)
+    report = subset_instability(utilities, Matching(tuple((i, i) for i in range(5))))
+    assert list(report.subsidies.amounts.values()) == [0.1] * 10
+    assert report.value == 0.9999999999999999
+
+
 def test_negative_tolerance_rejected():
     utilities = UtilityTable(
         np.array([[1.0, 0.5], [0.3, 0.2]]), np.array([[0.4, 0.6], [0.7, 0.1]]), (0.0, 0.0), (0.0, 0.0)
@@ -574,10 +604,12 @@ def audit_by_arrays(left_gain, right_gain, matching, current, outside, tol):
         else TAG_PARTICIPATION if participation_wins else TAG_VALUE_GAP
         for agent, amount, floor, participation_wins in terms
     }
-    subsidies = SubsidyVector.of(dict(zip(agents, final)))
+    total = 0.0
+    for amount in final:  # left to right, as _audit adds them
+        total += amount
     return InstabilityReport(
-        value=subsidies.total,
-        subsidies=subsidies,
+        value=total,
+        subsidies=SubsidyVector(dict(zip(agents, final))),
         active_pairs=tuple(zip(left_active.tolist(), right_active.tolist())),
         binding=binding,
     )

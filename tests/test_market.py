@@ -89,8 +89,6 @@ def test_preferences_from_values_match_their_definition(size):
             prefs = preferences_from_values(left, right, left_outside, right_outside)
             assert prefs.left == _preferences_by_definition(left, left_outside)
             assert prefs.right == _preferences_by_definition(right, right_outside)
-            assert prefs.left_threshold == tuple(left_outside.tolist())
-            assert prefs.right_threshold == tuple(right_outside.tolist())
 
 
 def test_preferences_from_example_values():
@@ -104,7 +102,6 @@ def test_preferences_from_example_values():
     assert prefs.left == ((0, 1), (0, 1))
     # R0 sees -1.0 twice, both below the outside option; R1 keeps only L0
     assert prefs.right == ((), (0,))
-    assert prefs.left_threshold == (EXAMPLE_OUTSIDE, EXAMPLE_OUTSIDE)
 
 
 def test_preferences_truncate_strictly_below_threshold():
@@ -227,36 +224,74 @@ def test_preference_profile_validation():
         PreferenceProfile(((0, 0),), ((0,),))
     with pytest.raises(DimensionError):
         PreferenceProfile(((3,),), ((0,),))
-    with pytest.raises(DimensionError):
-        PreferenceProfile(((0,),), ((0,),), left_threshold=(0.0, 0.0))
 
 
 @pytest.mark.parametrize(
-    ("left", "right", "thresholds", "error", "message"),
+    ("left", "right", "error", "message"),
     [
-        (((0, 1, 0),), ((0,), (0,)), {}, InputError, "left preference list repeats an entry: (0, 1, 0)"),
-        (((0,),), ((0, 0),), {}, InputError, "right preference list repeats an entry: (0, 0)"),
-        (((-1,),), ((0,),), {}, DimensionError, "left preference list (-1,) references index out of range"),
-        (((0, 1),), ((0,),), {}, DimensionError, "left preference list (0, 1) references index out of range"),
-        (((0,),), ((-1,),), {}, DimensionError, "right preference list (-1,) references index out of range"),
-        (((0,),), ((1, 0),), {}, DimensionError, "right preference list (1, 0) references index out of range"),
+        (((0, 1, 0),), ((0,), (0,)), InputError, "left preference list repeats an entry: (0, 1, 0)"),
+        (((0,),), ((0, 0),), InputError, "right preference list repeats an entry: (0, 0)"),
+        (((-1,),), ((0,),), DimensionError, "left preference list (-1,) references index out of range"),
+        (((0, 1),), ((0,),), DimensionError, "left preference list (0, 1) references index out of range"),
+        (((0,),), ((-1,),), DimensionError, "right preference list (-1,) references index out of range"),
+        (((0,),), ((1, 0),), DimensionError, "right preference list (1, 0) references index out of range"),
         # a repeat is reported before a range fault, and left lists before right ones
-        (((2, 2),), ((0,),), {}, InputError, "left preference list repeats an entry: (2, 2)"),
-        (((1,),), ((0, 0),), {}, DimensionError, "left preference list (1,) references index out of range"),
-        (((0,),), ((0,),), {"left_threshold": (0.0, 1.0)}, DimensionError,
-         "left_threshold has 2 entries for 1 agents"),
-        (((0,),), ((0,),), {"right_threshold": (0.5, 0.5, 0.5)}, DimensionError,
-         "right_threshold has 3 entries for 1 agents"),
+        (((2, 2),), ((0,),), InputError, "left preference list repeats an entry: (2, 2)"),
+        (((1,),), ((0, 0),), DimensionError, "left preference list (1,) references index out of range"),
     ],
     ids=[
         "left-repeat", "right-repeat", "left-negative", "left-bound", "right-negative", "right-bound",
-        "repeat-before-range", "left-before-right", "left-threshold", "right-threshold",
+        "repeat-before-range", "left-before-right",
     ],
 )
-def test_preference_profile_refusals_keep_their_messages(left, right, thresholds, error, message):
+def test_preference_profile_refusals_keep_their_messages(left, right, error, message):
     with pytest.raises(InputError) as info:
-        PreferenceProfile(left, right, **thresholds)
+        PreferenceProfile(left, right)
     assert type(info.value) is error and str(info.value) == message
+
+
+def _instance(**fields) -> MarketInstance:
+    sizes = {"p": 2, "a": 2, "m": 2, "k": 2, **fields}
+    return MarketInstance(games=np.zeros((2, 2, 2, 2)), left_outside=(0.0, 0.0), right_outside=(0.0, 0.0), **sizes)
+
+
+@pytest.mark.parametrize(
+    ("build", "field"),
+    [
+        (lambda: Matching(((2.7, 0), (True, 1))), "matched index"),
+        (lambda: Matching(((0, True),)), "matched index"),
+        (lambda: PreferenceProfile(((1.9, 0), ()), ((0,), (1,))), "left preference list entry"),
+        (lambda: PreferenceProfile(((1, 0), ()), ((0,), (True,))), "right preference list entry"),
+        (lambda: AgentId.left(1.5), "agent index"),
+        (lambda: AgentId.right(True), "agent index"),
+        (lambda: AgentId.left(-1), "agent index"),
+        (lambda: _instance(p=True), "p"),
+        (lambda: _instance(k=2.0), "k"),
+        (lambda: _instance(seed=-5), "seed"),
+        (lambda: _instance(seed=1.5), "seed"),
+    ],
+    ids=[
+        "matching-float", "matching-bool", "left-list-float", "right-list-bool", "agent-float",
+        "agent-bool", "agent-negative", "instance-bool", "instance-float", "seed-negative", "seed-float",
+    ],
+)
+def test_constructors_refuse_rather_than_truncate(build, field):
+    for _ in range(2):  # a cached id never stands in for a refused index
+        AgentId.left(1), AgentId.right(1)
+        with pytest.raises(InputError, match=f"^{field} must be "):
+            build()
+
+
+def test_constructors_read_numpy_integers():
+    one, two = np.int64(1), np.int32(2)
+    matching = Matching(((one, 0), (0, two)))
+    assert matching.pairs == ((0, 2), (1, 0))
+    prefs = PreferenceProfile(np.array([[1, 0], [0, 1]]), [(one,), (0, one)])
+    assert prefs == PreferenceProfile(((1, 0), (0, 1)), ((1,), (0, 1)))
+    assert str(AgentId.left(two)) == "L2" and AgentId.left(two) == AgentId.left(2)
+    instance = _instance(p=np.int64(2), seed=np.uint8(3))
+    for value in (*matching.pairs[0], *prefs.left[0], AgentId.left(two).index, instance.p, instance.seed):
+        assert type(value) is int
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
