@@ -29,7 +29,6 @@ from .instability import (
     SubsidyVector,
     matching_instability,
     oracle_mi,
-    realized_utilities,
     subset_instability,
 )
 from .learning import (
@@ -88,7 +87,6 @@ __all__ = [
     "preferences_from_values",
     "read_aggregate_file",
     "read_trace_file",
-    "realized_utilities",
     "run_episode",
     "run_experiment",
     "solve_game",

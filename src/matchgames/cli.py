@@ -170,10 +170,9 @@ def _cmd_bound(args) -> int:
 
 def _cmd_audit(args) -> int:
     report = audit(args.instance, args.matching, args.strategies)
-    record = report.to_record()
     if args.output:
-        write_report(record, args.output)
-    _print(record)
+        write_report(report, args.output)
+    _print(report.to_record())
     return 0
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InputError
+from .instability import InstabilityReport
 from .market import AgentId, Generator, MarketInstance, Matching, PreferenceProfile, Side
 
 FORMAT_VERSION = 1
@@ -21,7 +22,6 @@ INSTANCE_FORMAT = "market-instance"
 MATCHING_FORMAT = "matching"
 STRATEGY_FORMAT = "strategy-profile"
 PREFERENCES_FORMAT = "preferences"
-REPORT_FORMAT = "instability-report"
 
 
 def _dump(document: dict, path) -> None:
@@ -29,7 +29,7 @@ def _dump(document: dict, path) -> None:
 
 
 def _decode(text: str, where):
-    """text parsed as JSON; a syntax error or a repeated key is a FormatError naming where."""
+    """text parsed as JSON; bad syntax, a repeated key or deep nesting is a FormatError naming where."""
 
     def unique(pairs: list) -> dict:
         document = dict(pairs)
@@ -42,6 +42,8 @@ def _decode(text: str, where):
         return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise FormatError(f"{where}: JSON nested too deeply") from None
 
 
 def _load(path, expected_format: str) -> dict:
@@ -240,7 +242,5 @@ def read_preferences(path) -> PreferenceProfile:
         raise FormatError(f"{path}: bad preference lists: {exc}") from exc
 
 
-def write_report(record: dict, path) -> None:
-    if record.get("format") != REPORT_FORMAT:
-        raise InputError("write_report expects an instability report record")
-    _dump(record, path)
+def write_report(report: InstabilityReport, path) -> None:
+    _dump(report.to_record(), path)

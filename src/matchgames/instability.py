@@ -70,7 +70,9 @@ class InstabilityReport:
 def _realized(
     instance: MarketInstance, matching: Matching, strategies: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right realized utilities as arrays; see realized_utilities."""
+    """Left and right realized utilities: a matched pair's bilinear game payoff
+    under the profile, an unmatched agent's outside option. The profile must
+    hold exactly the matched agents, each a mixed strategy over its actions."""
     matching.validate_for(instance.p, instance.a)
     ids = [(AgentId.left(i), AgentId.right(j)) for i, j in matching.pairs]
     expected = {agent for pair in ids for agent in pair}
@@ -92,17 +94,6 @@ def _realized(
         left[i] = x @ instance.games[i, j] @ y
         right[j] = -left[i]
     return left, right
-
-
-def realized_utilities(instance: MarketInstance, matching: Matching, strategies: dict) -> dict:
-    """Expected payoff of every agent under the matching and strategy profile.
-
-    Matched agents get the bilinear payoff of their pair's game; unmatched
-    agents sit at their outside option. The profile must contain exactly the
-    matched agents, each with a mixed strategy over its side's actions.
-    """
-    left, right = _realized(instance, matching, strategies)
-    return dict(zip(instance.agents(), left.tolist() + right.tolist()))
 
 
 def _solve_cover(floors: list, pairs: list, tol: float) -> list:

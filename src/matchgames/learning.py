@@ -29,9 +29,9 @@ state words word for word; a stream is built from its row the first time
 the pair is matched.
 
 Each matched agent draws its action from its stream by numpy's
-Generator.choice rule on Python floats: cumulative sums of the checked
+Generator.choice rule on Python floats: cumulative sums of the kernel's
 strategy, each divided by the last, searched on the right for one uniform.
-The draws, and so the traces, are those of choice(n, p=x).
+The draws, and so the traces, are those of choice(n, p=x); the audit checks x.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InputError, check_integer, check_real, check_sizes
-from .games import best_response, check_strategy, maximin
+from .games import best_response, maximin
 from .instability import matching_instability
 from .market import (
     AgentId,
@@ -262,8 +262,8 @@ _LEFT_ACTION, _RIGHT_ACTION, _REWARD = 0, 1, 2
 
 
 def _draw(rng: np.random.Generator, x: np.ndarray) -> int:
-    """The action rng.choice(len(x), p=x) draws from checked strategy x,
-    consuming the same single uniform; see the module docstring."""
+    """The action rng.choice(len(x), p=x) draws from strategy x, consuming
+    the same single uniform; see the module docstring."""
     cdf = list(itertools.accumulate(x.tolist()))
     total = cdf[-1]
     return bisect.bisect_right([c / total for c in cdf], rng.random())
@@ -361,8 +361,8 @@ def run_episode(
             width_bound += 4.0 * mass
             optimistic_left[i], optimistic_right[j] = mean + mass, mass - mean
 
-            row_action = _draw(stream(_LEFT_ACTION, i, j), check_strategy(x, m))
-            col_action = _draw(stream(_RIGHT_ACTION, i, j), check_strategy(y, k))
+            row_action = _draw(stream(_LEFT_ACTION, i, j), x)
+            col_action = _draw(stream(_RIGHT_ACTION, i, j), y)
             noise = float(stream(_REWARD, i, j).standard_normal())
             reward = float(instance.games[i, j, row_action, col_action]) + noise_scale * noise
             state.update(i, j, row_action, col_action, reward)

@@ -60,6 +60,19 @@ def example_profile() -> dict:
     return build_example_profile()
 
 
+def realized_payoffs(instance: MarketInstance, matching: Matching, strategies: dict) -> dict:
+    """Every agent's expected payoff, by its own loop rather than the audit's:
+    x @ games[i, j] @ y for a matched left agent, its negation for the right
+    one, and the outside option for an unmatched agent."""
+    payoffs = {AgentId.left(i): float(v) for i, v in enumerate(instance.left_outside)}
+    payoffs.update({AgentId.right(j): float(v) for j, v in enumerate(instance.right_outside)})
+    for i, j in matching.pairs:
+        left, right = AgentId.left(i), AgentId.right(j)
+        value = float(np.asarray(strategies[left]) @ instance.games[i, j] @ np.asarray(strategies[right]))
+        payoffs[left], payoffs[right] = value, -value
+    return payoffs
+
+
 def all_matchings(p: int, a: int) -> list[Matching]:
     """Every injective partial assignment of lefts to rights."""
     out = []

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, realized_payoffs
 
 from matchgames.experiments import (
     AGGREGATE_FILENAME,
@@ -22,7 +22,7 @@ from matchgames.experiments import (
     theoretical_bound,
 )
 from matchgames.games import maximin, oracle_solve_game, solve_game
-from matchgames.instability import matching_instability, oracle_mi, realized_utilities, subset_instability
+from matchgames.instability import matching_instability, oracle_mi, subset_instability
 from matchgames.learning import Policy, run_episode
 from matchgames.market import (
     AgentId,
@@ -231,7 +231,7 @@ def test_reduction_cases():
         )
         matching = Matching(((0, 0),))
         profile = random_profile(instance, matching, rng)
-        realized = realized_utilities(instance, matching, profile)
+        realized = realized_payoffs(instance, matching, profile)
         expected = abs(maximin(instance.games[0, 0])[0] - realized[AgentId.left(0)])
         mi = matching_instability(instance, matching, profile).value
         assert mi >= 0.0
@@ -280,7 +280,7 @@ def test_equilibrium_pins_utility():
         matching = Matching(((0, 0),))
         sol = solve_game(instance.games[0, 0])
         profile = {AgentId.left(0): sol.row_strategy, AgentId.right(0): sol.column_strategy}
-        realized = realized_utilities(instance, matching, profile)
+        realized = realized_payoffs(instance, matching, profile)
         left_slack = sol.value - realized[AgentId.left(0)]
         right_slack = -sol.value - realized[AgentId.right(0)]
         assert left_slack <= 1e-9 and right_slack <= 1e-9

@@ -268,6 +268,17 @@ def test_audit_reports_instability(audit_files, capsys):
     assert record["subsidies"]["R0"] == 0.5
 
 
+def test_audit_output_file_is_the_printed_record(audit_files, tmp_path, capsys):
+    instance_path, matching_path, strategies_path = audit_files
+    output = tmp_path / "report.json"
+    argv = ["audit", "--instance", instance_path, "--matching", matching_path,
+            "--strategies", strategies_path, "--output", str(output)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert output.read_text() == printed
+    assert json.loads(printed)["value"] == 1.0
+
+
 def test_audit_missing_file_is_io_error(audit_files, capsys):
     _, matching_path, strategies_path = audit_files
     argv = [
@@ -347,6 +358,13 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     config_path.write_text(json.dumps({"p": 1, "horizon": 9}))
     assert main(["simulate", "--config", str(config_path)]) == 2
     assert "horizon" in capsys.readouterr().err
+
+
+def test_simulate_config_must_be_an_object(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps([{"p": 1}]))
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {config_path}: config must be a JSON object\n"
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ list or a huge or non-finite number, or its field or entry is deleted (the
 method of Miller, Fredriksen and So, 1990). Whatever the mutation,
 ``cli.main`` must exit 0, 2 or 3 without a traceback, and a refusal is one
 ``error:`` line on stderr. A field written twice in the JSON text, which no
-dict can hold, is refused with exit 2 wherever it stands.
+dict can hold, is refused with exit 2 wherever it stands, and so is a value
+nested deeper than the JSON decoder recurses.
 """
 
 import copy
@@ -157,3 +158,21 @@ def test_duplicated_fields_exit_2(tmp_path, capsys, documents, kind):
 def test_duplicated_matrix_key_exits_2(capsys):
     assert main(["solve-game", "--matrix", '{"rows": [[1.0]], "rows": [[2.0]]}']) == 2
     assert capsys.readouterr().err == "error: --matrix: duplicate key 'rows'\n"
+
+
+@pytest.mark.parametrize("kind", list(CASES))
+def test_deeply_nested_value_exits_2(tmp_path, capsys, documents, kind):
+    """The matrix, or a document's first field, nested 5,000 lists deep."""
+    depth = 5000
+    argv = _argv(kind, documents, tmp_path)
+    if kind == "matrix":
+        argv[-1] = "[" * depth + argv[-1] + "]" * depth
+        where = "--matrix"
+    else:
+        first = next(iter(documents[kind]))
+        mark = "\N{BULLET} nested"  # no document holds this text
+        text = json.dumps({**documents[kind], first: mark})
+        (tmp_path / f"{kind}.json").write_text(text.replace(json.dumps(mark), "[" * depth + "]" * depth))
+        where = f"{tmp_path / kind}.json"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {where}: JSON nested too deeply\n"

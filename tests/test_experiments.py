@@ -228,6 +228,12 @@ def test_config_validation():
         ExperimentConfig(p=1, a=1, m=1, k=1, T=10, delta=2.0)
     with pytest.raises(InputError):
         ExperimentConfig(p=1, a=1, m=1, k=1, T=10, workers=0)
+    with pytest.raises(InputError, match=r"^noise_scale must be nonnegative, got -0\.5$"):
+        ExperimentConfig(p=1, a=1, m=1, k=1, T=10, noise_scale=-0.5)
+    with pytest.raises(InputError, match="^unknown policy 'self-play'$"):
+        ExperimentConfig(p=1, a=1, m=1, k=1, T=10, policy="self-play")
+    with pytest.raises(InputError, match="^unknown generator 'gaussian-unit'$"):
+        ExperimentConfig(p=1, a=1, m=1, k=1, T=10, generator="gaussian-unit")
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from matchgames.formats import (
     write_report,
     write_strategy_profile,
 )
+from matchgames.instability import InstabilityReport, SubsidyVector
 from matchgames.market import (
     AgentId,
     Generator,
@@ -161,20 +162,21 @@ def test_unknown_generator_rejected(tmp_path):
 
 def test_report_document_shape(tmp_path):
     path = tmp_path / "report.json"
-    write_report(
-        {
-            "format": "instability-report",
-            "version": 1,
-            "value": 0.0,
-            "subsidies": {},
-            "active_pairs": [],
-            "binding": {},
-        },
-        path,
-    )
+    report = InstabilityReport(value=0.0, subsidies=SubsidyVector({}), active_pairs=(), binding={})
+    write_report(report, path)
     document = json.loads(path.read_text())
+    assert document == report.to_record()
     assert document["format"] == "instability-report"
     assert path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("reader", [read_instance, read_matching, read_strategy_profile, read_preferences])
+def test_top_level_must_be_an_object(tmp_path, reader):
+    path = tmp_path / "document.json"
+    path.write_text('[{"format": "matching", "version": 1}]')
+    with pytest.raises(FormatError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: top level must be a JSON object"
 
 
 def _document(tmp_path, name: str, document: dict):

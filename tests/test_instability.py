@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import build_example_market, build_example_profile
+from conftest import build_example_market, build_example_profile, realized_payoffs
 
 from matchgames.errors import DimensionError, InputError
 from matchgames.games import maximin, oracle_solve_game, solve_game
@@ -19,7 +19,6 @@ from matchgames.instability import (
     _solve_cover,
     matching_instability,
     oracle_mi,
-    realized_utilities,
     subset_instability,
 )
 from matchgames.market import (
@@ -85,7 +84,7 @@ def assert_subsidies_stabilize(instance, matching, strategies, report, tol=1e-8)
             for i in range(instance.p)
         ]
     )
-    realized = realized_utilities(instance, matching, strategies)
+    realized = realized_payoffs(instance, matching, strategies)
     s = report.subsidies.amounts
     assert all(amount >= 0.0 for amount in s.values())
     assert report.value == pytest.approx(sum(s.values()), abs=1e-12)
@@ -146,7 +145,7 @@ def test_value_rationality_floor_and_tag():
     assert report.value == pytest.approx(1.0, abs=1e-12)
     assert report.binding[AgentId.right(0)] == TAG_VALUE_GAP
     assert report.binding[AgentId.left(0)] == TAG_NONE
-    realized = realized_utilities(instance, Matching(((0, 0),)), profile)
+    realized = realized_payoffs(instance, Matching(((0, 0),)), profile)
     assert abs(maximin(instance.games[0, 0])[0] - realized[AgentId.left(0)]) == pytest.approx(
         1.0, abs=1e-12
     )
@@ -197,6 +196,13 @@ def test_non_finite_game_values_rejected():
                 AgentId.left(0): np.array([0.5, 0.5]),
                 AgentId.right(0): np.array([0.5, 0.5]),
             }, game_values=values)
+
+
+def test_game_values_of_the_wrong_shape_rejected():
+    instance = generate_instance(2, 3, 2, 2, seed=3)
+    with pytest.raises(DimensionError) as info:
+        matching_instability(instance, Matching(()), {}, game_values=np.zeros((3, 2)))
+    assert str(info.value) == "game_values shape (3, 2) does not match (2, 3)"
 
 
 def test_near_equilibrium_clamps_to_exact_zero():
@@ -255,7 +261,7 @@ def test_one_by_one_markets_reduce_to_value_gap():
         # outside option of -5 keeps participation slack, isolating the gap
         matching = Matching(((0, 0),))
         mi = matching_instability(instance, matching, profile)
-        realized = realized_utilities(instance, matching, profile)
+        realized = realized_payoffs(instance, matching, profile)
         expected = abs(maximin(instance.games[0, 0])[0] - realized[AgentId.left(0)])
         assert mi.value == pytest.approx(expected, abs=1e-12)
 
@@ -293,7 +299,7 @@ def test_equilibrium_pins_realized_utility_to_game_value():
         instance = generate_instance(1, 1, 3, 3, seed=int(rng.integers(1 << 30)))
         sol = solve_game(instance.games[0, 0])
         profile = {AgentId.left(0): sol.row_strategy, AgentId.right(0): sol.column_strategy}
-        realized = realized_utilities(instance, Matching(((0, 0),)), profile)
+        realized = realized_payoffs(instance, Matching(((0, 0),)), profile)
         # neither side's value-rationality slack may bind, which pins the
         # realized payoff to the game value from both directions
         assert sol.value - realized[AgentId.left(0)] <= 1e-9
@@ -338,12 +344,12 @@ def test_report_record_is_json_ready():
 
 def test_profile_validation():
     instance = build_example_market()
-    with pytest.raises(InputError):
-        realized_utilities(instance, Matching(((0, 1),)), {})
-    with pytest.raises(InputError):
-        realized_utilities(instance, Matching(()), build_example_profile())
-    with pytest.raises(DimensionError):
-        realized_utilities(
+    with pytest.raises(InputError, match=r"\(missing \['L0', 'R1'\], extra \[\]\)"):
+        matching_instability(instance, Matching(((0, 1),)), {})
+    with pytest.raises(InputError, match=r"\(missing \[\], extra \['L0', 'L1', 'R0', 'R1'\]\)"):
+        matching_instability(instance, Matching(()), build_example_profile())
+    with pytest.raises(DimensionError, match=r"pair \(0, 1\): strategy has shape \(2,\), expected \(1,\)"):
+        matching_instability(
             instance,
             Matching(((0, 1),)),
             {AgentId.left(0): np.array([0.5, 0.5]), AgentId.right(1): np.array([1.0])},
@@ -351,11 +357,7 @@ def test_profile_validation():
     # right shapes, but not distributions: a negative entry, a NaN, a bad sum
     instance = generate_instance(1, 1, 2, 2, seed=3)
     for x, y in (([2.0, -1.0], [5.0, 5.0]), ([np.nan, 1.0], [0.5, 0.5]), ([0.5, 0.5], [0.5, 0.6])):
-        with pytest.raises(InputError):
-            realized_utilities(
-                instance, Matching(((0, 0),)), {AgentId.left(0): x, AgentId.right(0): y}
-            )
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"pair \(0, 0\): strategy entries"):
             matching_instability(
                 instance, Matching(((0, 0),)), {AgentId.left(0): x, AgentId.right(0): y}
             )

@@ -8,7 +8,7 @@ from conftest import build_example_market
 
 from matchgames import learning
 from matchgames.errors import InputError
-from matchgames.games import maximin, solve_game
+from matchgames.games import check_strategy, maximin, solve_game
 from matchgames.learning import (
     ConfidenceState,
     Policy,
@@ -279,7 +279,7 @@ def test_draw_matches_generator_choice():
         reference, ours = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             expected = int(reference.choice(len(x), p=x))
-            assert learning._draw(ours, learning.check_strategy(x, len(x))) == expected
+            assert learning._draw(ours, check_strategy(x, len(x))) == expected
         # both streams stand at the same place afterwards
         assert ours.random() == reference.random()
 
@@ -320,16 +320,15 @@ def test_episode_streams_are_seed_sequence_streams(monkeypatch, policy, seed):
 @pytest.mark.parametrize(
     "bad", [[np.nan, 1.0], [-0.25, 1.25], [0.5, 0.51]], ids=["nan", "negative", "sum-1.01"]
 )
-def test_invalid_strategy_raises_before_any_draw(monkeypatch, bad):
-    draws = []
+def test_kernel_strategy_that_is_not_a_distribution_fails_the_round(monkeypatch, bad):
+    """The round draws from its kernel's strategies unchecked; its audit refuses them."""
     # value 0 and strategy `bad` for every game, a stack's game by game
     monkeypatch.setattr(learning, "maximin", lambda game: (
         np.zeros(np.shape(game)[:-2]), np.broadcast_to(bad, (*np.shape(game)[:-2], len(bad)))
     ))
-    monkeypatch.setattr(learning, "_draw", lambda rng, x: draws.append(x) or 0)
-    with pytest.raises(InputError):
+    monkeypatch.setattr(learning, "_draw", lambda rng, x: 0)
+    with pytest.raises(InputError, match="strategy entries"):
         run_episode(generate_instance(2, 2, 2, 2, seed=15), Policy.SELF_PLAY, 1, seed=15)
-    assert draws == []
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -369,6 +368,8 @@ def test_run_episode_validation():
         run_episode(instance, Policy.SELF_PLAY, 5, noise_scale="1")
     with pytest.raises(InputError, match="^delta must be a real number"):
         run_episode(instance, Policy.SELF_PLAY, 5, delta=True)
+    with pytest.raises(InputError, match=r"^noise_scale must be nonnegative, got -1\.0$"):
+        run_episode(instance, Policy.SELF_PLAY, 5, noise_scale=-1.0)
 
 
 @pytest.mark.parametrize(

@@ -451,3 +451,28 @@ def test_stability_check_matches_its_per_agent_definition(integer):
                 assert all(report.binding[agent] in (TAG_PARTICIPATION, TAG_COVER) for agent in ir)
                 if not ir:
                     assert report.active_pairs == blocking
+
+
+@pytest.mark.parametrize(
+    "field, shape, shapes",
+    [("right", (2, 3), "left (2, 3), right (2, 3), outside (2,)/(3,)"),
+     ("left_outside", (3,), "left (2, 3), right (3, 2), outside (3,)/(3,)"),
+     ("right_outside", (2,), "left (2, 3), right (3, 2), outside (2,)/(2,)")],
+)
+def test_utility_table_refuses_shapes_that_disagree(field, shape, shapes):
+    tables = {
+        "left": np.zeros((2, 3)),
+        "right": np.zeros((3, 2)),
+        "left_outside": np.zeros(2),
+        "right_outside": np.zeros(3),
+    }
+    tables[field] = np.zeros(shape)
+    with pytest.raises(DimensionError) as info:
+        UtilityTable(**tables)
+    assert str(info.value) == f"utility table shapes disagree: {shapes}"
+
+
+def test_generate_instance_refuses_an_unknown_generator():
+    with pytest.raises(InputError) as info:
+        generate_instance(1, 1, 2, 2, generator="uniform-signed")
+    assert str(info.value) == "unknown generator 'uniform-signed'"
