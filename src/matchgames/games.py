@@ -5,13 +5,13 @@ column player receives the negation. The LP route (maximin, solve_game) is
 the production path: it rescales the payoffs into [1, 3] and solves the
 game's packing LP with ``linprog.solve_lp``, so results do not depend on the
 payoffs' units. maximin takes one game or a stack of shape (..., m, k) and
-gives both one check, one scale by each game's max|A|, one solve_lp call
-and one read-back; 1x1 games read their lone entry. A single 2x2 game is
-scaled, solved and read back on Python floats, any other single game runs
-the numpy tableau, and a stack one stacked tableau, so every game in a
-stack gets the bits it would get alone. A stacked call costs about as much
-as 15 single 2x2 games on floats, or 2 larger ones, so learning solves a
-round's few refreshed games singly and its many as a stack.
+gives both one check and one solve_lp call; 1x1 games read their lone
+entry. A single game is scaled by its max|A|, solved and read back on
+Python floats; a stack is scaled, solved as one stacked tableau and read
+back with numpy's ufuncs, and every game in it gets the bits it would get
+alone. A stacked call costs about as much as 20 single 2x2 games or 8
+single 3x3 games, so learning solves a round's few refreshed games singly
+and its many as a stack.
 oracle_solve_game is an independent enumeration-based checker kept for
 cross-validation and must stay free of the LP machinery.
 """
@@ -21,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -65,6 +67,35 @@ def check_strategy(strategy, n_actions: int) -> np.ndarray:
     return x
 
 
+def _is_float_rows(game) -> bool:
+    """Whether game is one nonempty game as equal lists of finite Python floats."""
+    k = len(game[0]) if type(game) is list and game and type(game[0]) is list else 0
+    if not k:
+        return False
+    for row in game:
+        if type(row) is not list or len(row) != k:
+            return False
+        for v in row:
+            if type(v) is not float or not abs(v) < math.inf:
+                return False
+    return True
+
+
+def _sum(values: list) -> float:
+    """np.add.reduce on a 1-d float64 array, to the bit: a plain loop below 8
+    entries, numpy's eight accumulators from 8 to 128, halves above."""
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    end = n - n % 8
+    r = [reduce(add, values[j:end:8]) for j in range(8)]
+    blocks = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[end:], 0.0 + blocks)
+
+
 def _normalized(x: np.ndarray) -> np.ndarray:
     # np.clip(x, 0.0, None) / x.sum(-1, keepdims=True) without the Python wrappers, to the bit
     x = np.maximum(x, 0.0)
@@ -86,32 +117,30 @@ def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
     Rescales A by max|A| and shifts it by 2, so B = A/scale + 2 has entries
     in [1, 3] and value v_B in [1, 3]. The dual of the packing LP
     max 1^T w s.t. B w <= 1, w >= 0 is u = x / v_B, so x = u / sum(u) and
-    v_B = 1 / sum(u), whatever the payoffs' units. A 2x2 game is solved on
-    Python floats, which round as numpy's do, so the bits are numpy's.
+    v_B = 1 / sum(u), whatever the payoffs' units. A single game is solved
+    on Python floats, which round as numpy's do and are summed in numpy's
+    order, so the bits are numpy's.
 
     A stack of games, shape (..., m, k), gives values of shape (...) and
     strategies of shape (..., m), each game's equal to its own maximin's.
     """
-    rows = game if (type(game) is list and len(game) == 2 and type(game[0]) is list is type(game[1])
-                    and len(game[0]) == 2 == len(game[1])
-                    and all(type(v) is float and abs(v) < math.inf for v in game[0] + game[1])) else None
+    rows = game if _is_float_rows(game) else None
     if rows is None:
         A = _as_games(game)
-        if A.shape[-2:] == (1, 1):
-            # the LP would only add rounding noise to the lone payoff entry
-            value, x = A[..., 0, 0].copy(), np.ones(A.shape[:-1])
-            return (float(value), x) if A.ndim == 2 else (value, x)
-        rows = A.tolist() if A.shape == (2, 2) else None
+        if A.ndim == 2:
+            rows = A.tolist()
+        elif A.shape[-2:] == (1, 1):
+            return A[..., 0, 0].copy(), np.ones(A.shape[:-1])
     if rows is None:
         scale = np.maximum.reduce(np.abs(A), axis=(-2, -1))
-        scale = scale + (scale == 0)  # 0 becomes 1; unlike np.where, one game's stays a numpy scalar
-        B = A / scale[..., None, None] + 2.0
-        if A.ndim > 2:  # one (G, m, k) stack; a single game keeps the 2-d tableau
-            B = B.reshape(-1, *A.shape[-2:])
+        scale = scale + (scale == 0)  # 0 becomes 1
+        B = (A / scale[..., None, None] + 2.0).reshape(-1, *A.shape[-2:])
+    elif len(rows) == 1 == len(rows[0]):
+        # the LP would only add rounding noise to the lone payoff entry
+        return rows[0][0], np.ones(1)
     else:
-        (a, b), (c, d) = rows
-        scale = max(abs(a), abs(b), abs(c), abs(d)) or 1.0
-        B = [[a / scale + 2.0, b / scale + 2.0], [c / scale + 2.0, d / scale + 2.0]]
+        scale = max([abs(v) for row in rows for v in row]) or 1.0
+        B = [[v / scale + 2.0 for v in row] for row in rows]
     try:
         _, u = solve_lp(B)
     except RuntimeError as exc:
@@ -121,10 +150,10 @@ def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
         ) from exc
     if rows is None:
         u = u.reshape(A.shape[:-1])
-        value = (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0
-        return (float(value), _normalized(u)) if A.ndim == 2 else (value, _normalized(u))
-    x0, x1 = (0.0 if v <= 0.0 else v for v in u)  # np.maximum(u, 0.0): -0.0 becomes +0.0
-    return (1.0 / (u[0] + u[1]) - 2.0) * scale + 0.0, np.array([x0 / (x0 + x1), x1 / (x0 + x1)])
+        return (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0, _normalized(u)
+    x = [0.0 if v <= 0.0 else v for v in u]  # np.maximum(u, 0.0): -0.0 becomes +0.0
+    total = _sum(x)
+    return (1.0 / _sum(u) - 2.0) * scale + 0.0, np.array([v / total for v in x])
 
 
 def solve_game(game) -> GameSolution:

@@ -117,13 +117,13 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
 
 
 # A round with fewer refreshed games than this solves them one by one; from
-# here up, as stacks. Measured on a 2-CPU Xeon VM (Python 3.11.7, numpy
-# 2.4.6), a stacked call costs about 0.3 ms plus 3 us a game. A 2x2 game
-# costs about 18 us pair by pair, on Python floats, so on 2x2 games the
-# stack breaks even at about 22 games. A larger game runs the numpy tableau
-# at 100 to 200 us, so there the stack wins from about 4. At 12, a 2x2 round
-# of 12 to 21 games loses at most about 0.1 ms; at 22, a round of 12 to 21
-# 3x3 games would lose up to 1.7 ms.
+# here up, as stacks. Measured on a round's optimistic games on a 2-CPU Xeon
+# VM (Python 3.11.7, numpy 2.4.6), a stacked call costs 0.15 to 0.3 ms plus
+# up to 6 us a game. One by one, on Python floats, a 2x2 game costs 9 to
+# 15 us, so on 2x2 games the stack breaks even at 17 to 22 games; a 3x3
+# game costs 26 to 32 us, so there it breaks even at 7 to 8. At 12, a 2x2
+# round of 12 to 21 games and a 3x3 round of 8 to 11 both lose about 0.1 ms
+# at most, and the two losses are about equal.
 _STACK_MIN_GAMES = 12
 
 

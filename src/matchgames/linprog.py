@@ -5,10 +5,11 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
 until no reduced cost is negative. games.maximin's one solve_lp call reaches
-three kernels that share that pivot rule: a single 2x2 B, as nested lists of
-Python floats, pivots in closed form on those; any other single B runs the
-numpy _tableau; and a (G, m, k) stack of G games runs _stacked, one tableau
-for the whole stack, which gives every game _tableau's answer to the bit.
+three kernels that share that pivot rule and its arithmetic: a single B
+comes as nested lists of Python floats, and a 2x2 one pivots in closed form
+on those (_solve_2x2), any other shape on a list tableau (_list_tableau);
+a (G, m, k) stack of G games runs _stacked, one numpy tableau for the whole
+stack. Each gives every game the same bits.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ def solve_lp(B):
     B is an m x k matrix with entries in [1, 3]. Bland's rule picks the
     lowest-index entering column and breaks minimum-ratio ties by the lowest
     basis index. The slack columns' reduced costs give u, which solves
-    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. A 2x2 B given as lists of
-    Python floats gets lists back, from _solve_2x2 bit for bit where it admits B.
+    min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. B given as nested
+    lists of Python floats gets lists back; a 2x2 B is solved by _solve_2x2
+    where it admits B. An m x k array B gets arrays back, by the same route.
     A (G, m, k) array B is G games, solved together: w is (G, k) and u (G, m).
     """
-    if type(B) is list:
-        return _solve_2x2(*B[0], *B[1]) or tuple(v.tolist() for v in _tableau(np.array(B)))
-    return _stacked(B) if B.ndim == 3 else _tableau(B)
+    if type(B) is not list:
+        return _stacked(B) if B.ndim == 3 else tuple(np.array(v) for v in solve_lp(B.tolist()))
+    return len(B) == 2 == len(B[0]) and _solve_2x2(*B[0], *B[1]) or _list_tableau(B)
 
 
 def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | None:
-    """_tableau on B = [[a, b], [c, d]] on Python floats, or None where the guard refuses B.
+    """_list_tableau on B = [[a, b], [c, d]], or None where the guard refuses B.
 
     Bland's rule enters w_1 at row `hi` = (p, q), the one with the larger
     entry in column 1, then stops at a saddle point or goes on to the mixed
@@ -62,42 +64,47 @@ def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | No
     return [T[basis.index(j)][4] if j in basis else 0.0 for j in (0, 1)], T[2][2:4]
 
 
-def _tableau(B) -> tuple[np.ndarray, np.ndarray]:
-    """solve_lp by a dense numpy tableau from the origin basis."""
-    m, k = B.shape
-    T = np.zeros((m + 1, k + m + 1))
-    T[:m, :k] = B
-    T[:m, k:-1] = np.eye(m)
-    T[:m, -1] = 1.0
-    T[m, :k] = -1.0
-    basis = np.arange(k, k + m)
+def _list_tableau(B: list) -> tuple[list, list]:
+    """solve_lp on one B as nested lists of Python floats: a dense tableau from the origin basis.
+
+    Each pivot divides the leaving row by the pivot, then takes every other
+    row t to t - g * p, g being its entry in the entering column and p the
+    divided row's: _stacked's order, entry by entry, so a game solved here
+    and in a stack gets the same bits.
+    """
+    m, k = len(B), len(B[0])
+    T = [[*row, *[0.0] * i, 1.0, *[0.0] * (m - 1 - i), 1.0] for i, row in enumerate(B)]
+    T.append([*[-1.0] * k, *[0.0] * (m + 1)])
+    basis = list(range(k, k + m))
     while True:
-        negative = np.flatnonzero(T[m, :-1] < -PIVOT_TOL)
-        if negative.size == 0:
+        enter = next((j for j, cost in enumerate(T[m][:-1]) if cost < -PIVOT_TOL), None)
+        if enter is None:
             break
-        enter = negative[0]
-        rows = np.flatnonzero(T[:m, enter] > PIVOT_TOL)
-        if rows.size == 0:
+        ratios = {i: row[-1] / row[enter] for i, row in enumerate(T[:m]) if row[enter] > PIVOT_TOL}
+        if not ratios:
             raise RuntimeError(f"entering column {enter} has no positive entry")
-        ratios = T[rows, -1] / T[rows, enter]
-        tied = rows[ratios <= ratios.min() + 1e-12]
-        leave = tied[np.argmin(basis[tied])]
-        T[leave] /= T[leave, enter]
-        factors = T[:, enter].copy()
-        factors[leave] = 0.0
-        T -= np.outer(factors, T[leave])
+        least = min(ratios.values()) + 1e-12
+        leave = min((i for i, ratio in ratios.items() if ratio <= least), key=basis.__getitem__)
+        pivot = T[leave][enter]
+        row = [t / pivot for t in T[leave]]
+        for i, old in enumerate(T):
+            if i != leave:
+                g = old[enter]
+                T[i] = [t - g * p for t, p in zip(old, row)]
+        T[leave] = row
         basis[leave] = enter
-    x = np.zeros(k + m)
-    x[basis] = T[:m, -1]
-    return x[:k], T[m, k:-1].copy()
+    x = [0.0] * (k + m)
+    for i, j in enumerate(basis):
+        x[j] = T[i][-1]
+    return x[:k], T[m][k:-1]
 
 
 def _stacked(B) -> tuple[np.ndarray, np.ndarray]:
-    """_tableau on each game of a (G, m, k) stack, as one (G, m+1, k+m+1) tableau.
+    """_list_tableau on each game of a (G, m, k) stack, as one (G, m+1, k+m+1) numpy tableau.
 
-    Each pivot repeats _tableau's elementwise steps on every game still live,
-    so each game's (w, u) are _tableau's bits; a game whose reduced costs are
-    all nonnegative is read off and leaves the stack.
+    Each pivot repeats _list_tableau's elementwise steps on every game still
+    live, so each game's (w, u) are _list_tableau's bits; a game whose
+    reduced costs are all nonnegative is read off and leaves the stack.
     """
     G, m, k = B.shape
     T = np.zeros((G, m + 1, k + m + 1))

@@ -194,8 +194,9 @@ def test_value_identities_hold_at_every_scale():
 
 
 def test_wrapper_reductions_are_the_former_ones():
-    # _normalized and maximin call numpy's ufuncs directly; the results must
-    # be the bits of the np.clip / .sum() / .max() forms they replace
+    # _normalized and a stack's maximin call numpy's ufuncs directly, and a
+    # single game's maximin reads back on Python floats; the results must be
+    # the bits of the np.clip / .sum() / .max() forms
     rng = np.random.default_rng(41)
     vectors = [
         np.array([-0.0, 0.5, 0.5]),

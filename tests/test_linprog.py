@@ -112,18 +112,29 @@ def test_solver_is_deterministic():
     assert (first[1] == second[1]).all()
 
 
+def count_hand_offs(monkeypatch) -> list:
+    """The Bs that solve_lp hands to the list tableau from now on."""
+    tableau, handed = linprog._list_tableau, []
+    monkeypatch.setattr(linprog, "_list_tableau", lambda B: handed.append(B) or tableau(B))
+    return handed
+
+
 def assert_closed_form_matches_tableau(matrices, monkeypatch) -> int:
     """solve_lp, given each 2x2 in matrices as nested lists of Python floats,
-    returns the tableau's (w, u) bit for bit.
+    returns the list tableau's (w, u) bit for bit.
 
-    Returns how many of them solve_lp handed to the tableau."""
-    tableau, handed = linprog._tableau, []
-    monkeypatch.setattr(linprog, "_tableau", lambda B: handed.append(B) or tableau(B))
+    Returns how many of them solve_lp handed to the list tableau."""
+    tableau, handed = linprog._list_tableau, count_hand_offs(monkeypatch)
     for B in matrices:
-        got, expected = solve_lp(np.asarray(B).tolist()), tableau(B)
+        rows = np.asarray(B).tolist()
+        got, expected = solve_lp(rows), tableau(rows)
         assert all(type(v) is float for vector in got for v in vector)
-        assert [np.array(v).tobytes() for v in got] == [v.tobytes() for v in expected], (B, got, expected)
+        assert vector_bytes(got) == vector_bytes(expected), (B, got, expected)
     return len(handed)
+
+
+def vector_bytes(vectors) -> list:
+    return [np.array(v).tobytes() for v in vectors]
 
 
 def as_packing_lps(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,11 +237,11 @@ def test_near_ties_match_tableau(monkeypatch):
 
 
 def numpy_maximin(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """maximin's numpy form, restated: the packing LP of A/scale + 2 on the
-    numpy tableau, its value and clipped, normalised strategy read back with
-    numpy's ufuncs."""
+    """maximin's numpy form, restated: the packing LP of A/scale + 2 as a
+    one-game stack, its value and clipped, normalised strategy read back
+    with numpy's ufuncs."""
     scale = float(np.maximum.reduce(np.abs(A), axis=None)) or 1.0
-    _, u = solve_lp(A / scale + 2.0)
+    _, (u,) = solve_lp((A / scale + 2.0)[None])
     x = np.maximum(u, 0.0)
     return (1.0 / float(np.add.reduce(u)) - 2.0) * scale + 0.0, x / np.add.reduce(x)
 
@@ -256,8 +267,7 @@ def test_float_maximin_matches_numpy_form(monkeypatch):
     lp_games = [B - 2.0 for B in (*random_matrices()[:5000], *tie_pattern_matrices(), *near_tie_matrices())]
     scaled = [A * factor for factor in (5e-324, 1e-310, 1e-300, 1e-6, 1e6, 1e300) for A in integer_games()]
     corpus = [*integer_games(), *lp_games, *scaled, *signed_zero_games(), *ucb_games()]
-    tableau, handed, refused = linprog._tableau, [], 0
-    monkeypatch.setattr(linprog, "_tableau", lambda B: handed.append(B) or tableau(B))
+    handed, refused = count_hand_offs(monkeypatch), 0
     for A in corpus:
         for game in (A, -A.T):
             expected = as_bytes(numpy_maximin(game))
@@ -265,7 +275,7 @@ def test_float_maximin_matches_numpy_form(monkeypatch):
             assert as_bytes(maximin(game.tolist())) == expected, game
             refused += bool(handed)
             assert as_bytes(maximin(game)) == expected, game
-    # the near-tie bands reach the tableau through the float path, too
+    # the near-tie bands reach the list tableau through the float path, too
     assert refused >= 500
 
 
@@ -287,12 +297,13 @@ def test_float_maximin_refuses_non_finite_entries(bad, cell):
             maximin(form)
 
 
-def shaped_games(seed: int, count: int = 30) -> list:
-    """Stacks of games from 1x1 to 5x5, square or not: integer and tenths
-    entries (ties), near-ties, standard normals and one all-zero game each."""
+def shaped_games(seed: int, count: int = 30, sides=range(1, 6)) -> list:
+    """Stacks of games of every m x k with m and k in sides (1x1 to 5x5 by
+    default): integer and tenths entries (ties), near-ties, standard normals
+    and one all-zero game each."""
     rng = np.random.default_rng(seed)
     stacks = []
-    for m, k in itertools.product(range(1, 6), repeat=2):
+    for m, k in itertools.product(sides, repeat=2):
         integer = rng.integers(-2, 3, size=(count, m, k)).astype(float)
         gaps = 10.0 ** -rng.integers(3, 13, size=(count, 1, 1))
         near = integer + gaps * rng.integers(0, 2, size=(count, m, k))
@@ -328,12 +339,11 @@ def mixed_pivot_games() -> np.ndarray:
 
 
 def assert_stack_matches_tableau(stack: np.ndarray) -> None:
-    """solve_lp on a (G, m, k) stack gives _tableau's (w, u) for each game, to the bit."""
+    """solve_lp on a (G, m, k) stack gives the list tableau's (w, u) for each game, to the bit."""
     w, u = solve_lp(stack)
     assert w.shape == (stack.shape[0], stack.shape[2]) and u.shape == stack.shape[:2]
     for B, w_game, u_game in zip(stack, w, u):
-        expected = linprog._tableau(B)
-        assert (w_game.tobytes(), u_game.tobytes()) == tuple(v.tobytes() for v in expected), B
+        assert vector_bytes((w_game, u_game)) == vector_bytes(linprog._list_tableau(B.tolist())), B
 
 
 def packing_stacks(games: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,6 +370,16 @@ def test_stacked_lp_matches_tableau_on_9x9_and_mixed_pivot_counts():
     assert sorted(np.count_nonzero(w, axis=1).tolist()) == [1, 1, 2, 3]
 
 
+def test_list_tableau_matches_one_game_stacks_from_1x1_to_9x9():
+    # _stacked on a one-game stack is the numpy tableau: the list tableau
+    # must give its (w, u) to the byte, rounded ties and near-ties included
+    for games in shaped_games(50, count=3, sides=range(1, 10)):
+        for stack in packing_stacks(games):
+            for B in stack:
+                (w,), (u,) = solve_lp(B[None])
+                assert vector_bytes(linprog._list_tableau(B.tolist())) == vector_bytes((w, u)), B
+
+
 def test_stacked_lp_on_an_empty_stack():
     w, u = solve_lp(np.empty((0, 3, 2)))
     assert w.shape == (0, 2) and u.shape == (0, 3)
@@ -368,20 +388,21 @@ def test_stacked_lp_on_an_empty_stack():
 def test_stacked_lp_reports_an_unbounded_game_as_the_tableau_does():
     unbounded = np.array([[1.0, 0.0], [2.0, -1.0]])
     with pytest.raises(RuntimeError) as single:
-        linprog._tableau(unbounded)
+        linprog._list_tableau(unbounded.tolist())
     with pytest.raises(RuntimeError) as stacked:
         solve_lp(np.array([[[1.0, 2.0], [2.0, 1.0]], unbounded]))
     assert str(stacked.value) == str(single.value) == "entering column 3 has no positive entry"
 
 
 def assert_stacked_maximin_matches_per_game(stack: np.ndarray) -> None:
-    """maximin on a (..., m, k) stack gives each game's own maximin, to the bit."""
+    """maximin on a (..., m, k) stack gives each game's own maximin, on the
+    game as an array and as lists, to the bit."""
     values, strategies = maximin(stack)
     assert values.shape == stack.shape[:-2] and strategies.shape == stack.shape[:-1]
     for index in np.ndindex(*stack.shape[:-2]):
-        value, x = maximin(stack[index])
-        assert repr(float(values[index])) == repr(value), stack[index]
-        assert strategies[index].tobytes() == x.tobytes(), stack[index]
+        expected = as_bytes((float(values[index]), strategies[index]))
+        for game in (stack[index], stack[index].tolist()):
+            assert as_bytes(maximin(game)) == expected, stack[index]
 
 
 SCALES = (5e-324, 1e-310, 1e-300, 1e-6, 1.0, 1e6, 1e300)
@@ -394,6 +415,15 @@ def test_stacked_maximin_matches_per_game_calls():
             assert_stacked_maximin_matches_per_game(stack * scale)
             assert_stacked_maximin_matches_per_game(-np.swapaxes(stack, 1, 2) * scale)
     assert_stacked_maximin_matches_per_game(two_by_two_games())
+
+
+def test_single_game_read_back_matches_the_stack_from_1x1_to_9x9():
+    # numpy's add.reduce sums 8 entries or more in eight accumulators, so 8-
+    # and 9-action strategies pin the float read-back's summation order
+    for games in shaped_games(49, count=3, sides=range(1, 10)):
+        for scale in (1e-9, 1.0, 1e9):
+            assert_stacked_maximin_matches_per_game(games * scale)
+            assert_stacked_maximin_matches_per_game(-np.swapaxes(games, 1, 2) * scale)
 
 
 def test_stacked_maximin_keeps_leading_axes():

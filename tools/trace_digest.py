@@ -140,7 +140,7 @@ def audit_reports() -> Digest:
 def game_solutions() -> Digest:
     digest = Digest()
     rng = np.random.default_rng(7)
-    for m, k in itertools.product(range(1, 6), repeat=2):
+    for m, k in itertools.product(range(1, 10), repeat=2):
         for scale in (1e-6, 1.0, 1e6):
             for _ in range(8):
                 game = rng.standard_normal((m, k)) * scale
