@@ -4,14 +4,13 @@ Payoff matrices are plain float arrays holding the row player's payoff; the
 column player receives the negation. The LP route (maximin, solve_game) is
 the production path: it rescales the payoffs into [1, 3] and solves the
 game's packing LP with ``linprog.solve_lp``, so results do not depend on the
-payoffs' units. maximin takes one game or a stack of shape (..., m, k) and
-gives both one check and one solve_lp call; 1x1 games read their lone
-entry. A single game is scaled by its max|A|, solved and read back on
-Python floats; a stack is scaled, solved as one stacked tableau and read
-back with numpy's ufuncs, and every game in it gets the bits it would get
-alone. A stacked call costs about as much as 20 single 2x2 games or 8
-single 3x3 games, so learning solves a round's few refreshed games singly
-and its many as a stack.
+payoffs' units. maximin takes one game or a stack of shape (..., m, k),
+checks it once and picks its route by the number of games: a single game,
+or a stack of fewer than _STACK_MIN_GAMES, is scaled, solved and read back
+game by game on Python floats (one solve_lp call a game); a larger stack is
+scaled, solved as one stacked tableau and read back with numpy's ufuncs
+(one solve_lp call). 1x1 games read their lone entry. Both routes give
+every game the same bits.
 oracle_solve_game is an independent enumeration-based checker kept for
 cross-validation and must stay free of the LP machinery.
 """
@@ -67,20 +66,6 @@ def check_strategy(strategy, n_actions: int) -> np.ndarray:
     return x
 
 
-def _is_float_rows(game) -> bool:
-    """Whether game is one nonempty game as equal lists of finite Python floats."""
-    k = len(game[0]) if type(game) is list and game and type(game[0]) is list else 0
-    if not k:
-        return False
-    for row in game:
-        if type(row) is not list or len(row) != k:
-            return False
-        for v in row:
-            if type(v) is not float or not abs(v) < math.inf:
-                return False
-    return True
-
-
 def _sum(values: list) -> float:
     """np.add.reduce on a 1-d float64 array, to the bit: a plain loop below 8
     entries, numpy's eight accumulators from 8 to 128, halves above."""
@@ -111,49 +96,66 @@ class GameSolution:
     column_strategy: np.ndarray
 
 
+def _float_maximin(rows: list) -> tuple[float, list]:
+    """maximin of one game given as nested lists of Python floats, its strategy as a list.
+
+    Python floats round as numpy's do, and _sum adds in numpy's order, so the
+    bits are those of the stacked route's numpy read-back.
+    """
+    if len(rows) == 1 == len(rows[0]):
+        # the LP would only add rounding noise to the lone payoff entry
+        return rows[0][0], [1.0]
+    scale = max([abs(v) for row in rows for v in row]) or 1.0
+    _, u = solve_lp([[v / scale + 2.0 for v in row] for row in rows])
+    x = [0.0 if v <= 0.0 else v for v in u]  # np.maximum(u, 0.0): -0.0 becomes +0.0
+    total = _sum(x)
+    return (1.0 / _sum(u) - 2.0) * scale + 0.0, [v / total for v in x]
+
+
+# A stack of fewer games than this is solved game by game; from here up, as
+# one stacked tableau. Measured on optimistic games on a 2-CPU Xeon VM
+# (Python 3.11.7, numpy 2.4.6), a stacked solve costs 0.15 to 0.3 ms plus up
+# to 6 us a game. Game by game, a 2x2 game costs 9 to 15 us, so on 2x2 games
+# the stack breaks even at 17 to 22 games; a 3x3 game costs 26 to 32 us, so
+# there it breaks even at 7 to 8. At 12, a stack of 12 to 21 2x2 games and
+# one of 8 to 11 3x3 games both lose about 0.1 ms at most.
+_STACK_MIN_GAMES = 12
+
+
 def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
     """Value and one optimal mixed strategy for the row player.
 
     Rescales A by max|A| and shifts it by 2, so B = A/scale + 2 has entries
     in [1, 3] and value v_B in [1, 3]. The dual of the packing LP
     max 1^T w s.t. B w <= 1, w >= 0 is u = x / v_B, so x = u / sum(u) and
-    v_B = 1 / sum(u), whatever the payoffs' units. A single game is solved
-    on Python floats, which round as numpy's do and are summed in numpy's
-    order, so the bits are numpy's.
+    v_B = 1 / sum(u), whatever the payoffs' units.
 
     A stack of games, shape (..., m, k), gives values of shape (...) and
     strategies of shape (..., m), each game's equal to its own maximin's.
     """
-    rows = game if _is_float_rows(game) else None
-    if rows is None:
-        A = _as_games(game)
-        if A.ndim == 2:
-            rows = A.tolist()
-        elif A.shape[-2:] == (1, 1):
-            return A[..., 0, 0].copy(), np.ones(A.shape[:-1])
-    if rows is None:
-        scale = np.maximum.reduce(np.abs(A), axis=(-2, -1))
-        scale = scale + (scale == 0)  # 0 becomes 1
-        B = (A / scale[..., None, None] + 2.0).reshape(-1, *A.shape[-2:])
-    elif len(rows) == 1 == len(rows[0]):
-        # the LP would only add rounding noise to the lone payoff entry
-        return rows[0][0], np.ones(1)
-    else:
-        scale = max([abs(v) for row in rows for v in row]) or 1.0
-        B = [[v / scale + 2.0 for v in row] for row in rows]
+    A = _as_games(game)
+    m, k = A.shape[-2:]
     try:
-        _, u = solve_lp(B)
+        if A.ndim == 2:
+            value, x = _float_maximin(A.tolist())
+            return value, np.array(x)
+        if m == k == 1:
+            return A[..., 0, 0].copy(), np.ones(A.shape[:-1])
+        games = A.reshape(-1, m, k)
+        if len(games) < _STACK_MIN_GAMES:
+            solved = [_float_maximin(rows) for rows in games.tolist()]
+            values = np.array([value for value, _ in solved]).reshape(A.shape[:-2])
+            return values, np.array([x for _, x in solved]).reshape(A.shape[:-1])
+        scale = np.maximum.reduce(np.abs(games), axis=(1, 2))
+        scale = scale + (scale == 0)  # 0 becomes 1
+        _, u = solve_lp(games / scale[:, None, None] + 2.0)
     except RuntimeError as exc:
         # unreachable for entries in [1, 3]: an entering column has a positive entry
         raise SolverError(
-            f"game solver failed ({exc}) on payoffs of magnitude up to {np.max(scale):.3g}"
+            f"game solver failed ({exc}) on payoffs of magnitude up to {np.max(np.abs(A)):.3g}"
         ) from exc
-    if rows is None:
-        u = u.reshape(A.shape[:-1])
-        return (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0, _normalized(u)
-    x = [0.0 if v <= 0.0 else v for v in u]  # np.maximum(u, 0.0): -0.0 becomes +0.0
-    total = _sum(x)
-    return (1.0 / _sum(u) - 2.0) * scale + 0.0, np.array([v / total for v in x])
+    values = (1.0 / np.add.reduce(u, axis=-1) - 2.0) * scale + 0.0
+    return values.reshape(A.shape[:-2]), _normalized(u).reshape(A.shape[:-1])
 
 
 def solve_game(game) -> GameSolution:

@@ -11,13 +11,9 @@ from the exact game solutions, and BEST_RESPONSE refreshes it with pure best
 responses to the left side's current optimistic strategies.
 
 A round forms its refreshed optimistic games once, as numpy stacks from the
-round's width table. Fewer than _STACK_MIN_GAMES of them (12: every round of
-a 2x2 market, and the later rounds of small ones) are solved one by one from
-the stacks' nested lists of Python floats, on which maximin solves a 2x2
-game without numpy. More (the first round of a large market, or a later one
-with many matched pairs) are solved in one stacked maximin call, or in one
-call a side when the two sides' games differ in shape (m != k). Both routes
-give every game the same bits.
+round's width table, and hands them to one maximin call, or to one call a
+side when the two sides' games differ in shape (m != k); maximin decides
+whether a stack is solved game by game or as one stacked tableau.
 
 Every random draw of an episode comes from one of three streams per pair
 (i, j): purpose 0 draws the left agent's action, 1 the right agent's, and 2
@@ -109,6 +105,8 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     the (symmetric) confidence widths additive, so both sides are optimistic
     about their own payoffs.
     """
+    if not isinstance(side, Side):
+        raise InputError(f"unknown side {side!r}")
     i, j = pair
     width = state.width(i, j)
     if side is Side.LEFT:
@@ -116,31 +114,16 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     return (width - state.means[i, j]).T
 
 
-# A round with fewer refreshed games than this solves them one by one; from
-# here up, as stacks. Measured on a round's optimistic games on a 2-CPU Xeon
-# VM (Python 3.11.7, numpy 2.4.6), a stacked call costs 0.15 to 0.3 ms plus
-# up to 6 us a game. One by one, on Python floats, a 2x2 game costs 9 to
-# 15 us, so on 2x2 games the stack breaks even at 17 to 22 games; a 3x3
-# game costs 26 to 32 us, so there it breaks even at 7 to 8. At 12, a 2x2
-# round of 12 to 21 games and a 3x3 round of 8 to 11 both lose about 0.1 ms
-# at most, and the two losses are about equal.
-_STACK_MIN_GAMES = 12
-
-
 def _solve_optimistic(state: ConfidenceState, widths: np.ndarray, pairs, sides) -> list:
     """Optimistic maximin (value, strategy) of each pair's game, one sequence per side.
 
     widths is state.width(). Each side's games form one stack, by ucb_matrix's
-    formula. Fewer than _STACK_MIN_GAMES games are solved one by one from the
-    stacks' nested lists of Python floats; more in one maximin call when both
-    sides' games share a shape (m == k) and in one call per side otherwise.
-    Either way each answer has the same bits.
+    formula, solved in one maximin call when both sides' games share a shape
+    (m == k) and in one call per side otherwise.
     """
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     means, radii = state.means[rows, cols], widths[rows, cols]
     stacks = [means + radii if side is Side.LEFT else np.swapaxes(radii - means, 1, 2) for side in sides]
-    if len(sides) * len(pairs) < _STACK_MIN_GAMES:
-        return [[maximin(game) for game in stack.tolist()] for stack in stacks]
     if len(stacks) == 2 and stacks[0].shape == stacks[1].shape:
         values, plays = maximin(np.concatenate(stacks))
         n = len(pairs)

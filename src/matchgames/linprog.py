@@ -4,12 +4,13 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 (Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
-until no reduced cost is negative. games.maximin's one solve_lp call reaches
-three kernels that share that pivot rule and its arithmetic: a single B
-comes as nested lists of Python floats, and a 2x2 one pivots in closed form
-on those (_solve_2x2), any other shape on a list tableau (_list_tableau);
-a (G, m, k) stack of G games runs _stacked, one numpy tableau for the whole
-stack. Each gives every game the same bits.
+until no reduced cost is negative. solve_lp reaches three kernels that
+share that pivot rule and its arithmetic: a single B comes as nested lists
+of Python floats, and a 2x2 one pivots in closed form on those
+(_solve_2x2), any other shape on a list tableau (_list_tableau); a
+(G, m, k) stack of G games runs _stacked, one numpy tableau for the whole
+stack. Each gives every game the same bits. games.maximin picks the form:
+one call per game it solves on its own, or one call for a whole stack.
 """
 
 from __future__ import annotations

@@ -231,6 +231,8 @@ def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LE
     proposal seen so far. Returns the proposer-optimal stable matching for
     the reported preferences.
     """
+    if not isinstance(proposing_side, Side):
+        raise InputError(f"unknown proposing side {proposing_side!r}")
     if proposing_side is Side.LEFT:
         proposer_lists, receiver_lists = prefs.left, prefs.right
     else:

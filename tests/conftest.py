@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from matchgames import games
 from matchgames.market import AgentId, MarketInstance, Matching
 
 # (number, name, passed) tuples filled in by the acceptance suite; printed
@@ -81,3 +82,11 @@ def all_matchings(p: int, a: int) -> list[Matching]:
             for rights in itertools.permutations(range(a), size):
                 out.append(Matching(tuple(zip(lefts, rights))))
     return out
+
+
+def record_solve_lp_ranks(monkeypatch) -> list:
+    """The rank of every B that maximin hands solve_lp from now on: 3 for a
+    stacked tableau, 2 for a game solved on its own."""
+    solve_lp, ranks = games.solve_lp, []
+    monkeypatch.setattr(games, "solve_lp", lambda B: ranks.append(np.ndim(B)) or solve_lp(B))
+    return ranks

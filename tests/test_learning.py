@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import build_example_market
+from conftest import build_example_market, record_solve_lp_ranks
 
-from matchgames import learning
+from matchgames import games, learning
 from matchgames.errors import InputError
 from matchgames.games import check_strategy, maximin, solve_game
 from matchgames.learning import (
@@ -72,35 +72,55 @@ def test_right_view_is_negated_transpose():
 
 @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (2, 3, 2, 3)], ids=["2x2-games", "2x3-games"])
 def test_solved_optimistic_games_are_ucb_matrix(monkeypatch, shape):
-    # run_episode forms a round's optimistic games once, as a stack a side; on
-    # both sides of the crossover, every game it hands maximin must be
-    # ucb_matrix's to the byte, and below it a list of Python floats
+    # run_episode forms a round's optimistic games once, as a stack a side,
+    # and hands maximin the stacks; on both sides of maximin's crossover,
+    # every game it hands over must be ucb_matrix's to the byte
     p, a, m, k = shape
     rng = np.random.default_rng(17)
     state = ConfidenceState.fresh(p, a, m, k, delta=auto_delta(1000, p, a, m, k))
-    calls = []
+    calls, ranks = [], record_solve_lp_ranks(monkeypatch)
     monkeypatch.setattr(learning, "maximin", lambda game: calls.append(game) or maximin(game))
     every_pair = list(np.ndindex(p, a))
-    # 10 games run one by one and 12 as stacks, at _STACK_MIN_GAMES = 12
-    cases = [(every_pair[:5], tuple(Side), False), (every_pair, tuple(Side), True),
-             (every_pair, (Side.LEFT,), False)]
-    assert learning._STACK_MIN_GAMES == 12
-    for _ in range(200):
-        state.counts[...] = rng.integers(0, 50, size=state.counts.shape) * rng.integers(0, 2, size=state.counts.shape)
-        state.means[...] = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=state.means.shape)
-        for pairs, sides, stacked in cases:
-            calls.clear()
-            solved = learning._solve_optimistic(state, state.width(), pairs, sides)
-            assert [len(list(answers)) for answers in solved] == [len(pairs)] * len(sides)
-            if stacked:
+    cases = [(every_pair[:5], tuple(Side)), (every_pair, tuple(Side)), (every_pair, (Side.LEFT,))]
+    for crossover, rank in ((0, 3), (10**9, 2)):
+        monkeypatch.setattr(games, "_STACK_MIN_GAMES", crossover)
+        for _ in range(100):
+            state.counts[...] = rng.integers(0, 50, size=state.counts.shape) * rng.integers(0, 2, size=state.counts.shape)
+            state.means[...] = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=state.means.shape)
+            for pairs, sides in cases:
+                calls.clear()
+                ranks.clear()
+                solved = learning._solve_optimistic(state, state.width(), pairs, sides)
+                assert [len(list(answers)) for answers in solved] == [len(pairs)] * len(sides)
                 assert all(type(call) is np.ndarray and call.ndim == 3 for call in calls)
-                games = [game for call in calls for game in call]
-            else:
-                assert all(type(v) is float for game in calls for row in game for v in row)
-                games = [np.array(game) for game in calls]
-            expected = [ucb_matrix(state, pair, side) for side in sides for pair in pairs]
-            assert [game.shape for game in games] == [game.shape for game in expected]
-            assert [game.tobytes() for game in games] == [game.tobytes() for game in expected]
+                assert set(ranks) == {rank}
+                handed = [game for call in calls for game in call]
+                expected = [ucb_matrix(state, pair, side) for side in sides for pair in pairs]
+                assert [game.shape for game in handed] == [game.shape for game in expected]
+                assert [game.tobytes() for game in handed] == [game.tobytes() for game in expected]
+
+
+def test_non_square_round_of_six_pairs_solves_game_by_game(monkeypatch):
+    # 6 matched pairs refresh 12 self-play games, but the two sides' games
+    # differ in shape (2x3 and 3x2), so each side's stack holds 6 games:
+    # below the crossover, so no side pays the stacked tableau's fixed cost
+    state = ConfidenceState.fresh(6, 6, 2, 3, delta=auto_delta(1000, 6, 6, 2, 3))
+    ranks = record_solve_lp_ranks(monkeypatch)
+    pairs = [(i, (5 * i + 1) % 6) for i in range(6)]
+    solved = learning._solve_optimistic(state, state.width(), pairs, tuple(Side))
+    assert [len(list(answers)) for answers in solved] == [6, 6]
+    assert ranks == [2] * 12
+
+
+def test_a_side_that_is_not_a_side_member_is_refused():
+    state = ConfidenceState.fresh(1, 1, 2, 3, delta=0.25)
+    for side in (0, 1, "left", None):
+        with pytest.raises(InputError, match=f"^unknown side {side!r}$"):
+            ucb_matrix(state, (0, 0), side)
+    instance = generate_instance(2, 2, 2, 2, seed=3)
+    for side in (0, "left"):
+        with pytest.raises(InputError, match=f"^unknown proposing side {side!r}$"):
+            run_episode(instance, Policy.SELF_PLAY, 30, seed=1, proposing_side=side)
 
 
 def test_first_round_matches_assortatively():
@@ -247,16 +267,14 @@ def _fields(record) -> tuple:
 def test_pairwise_and_stacked_refreshes_agree(monkeypatch, policy, shape):
     instance = generate_instance(*shape, generator=Generator.UNIFORM_SIGNED, seed=22)
     runs = {}
-    for crossover, stacked in ((0, True), (10**9, False)):
-        ranks = []  # every refresh's maximin call takes a stack, or none does
-        monkeypatch.setattr(learning, "_STACK_MIN_GAMES", crossover)
-        monkeypatch.setattr(learning, "maximin", lambda game: ranks.append(np.ndim(game)) or maximin(game))
-        runs[stacked] = [_fields(record) for record in run_episode(instance, policy, 40, seed=22)]
+    for crossover, rank in ((0, 3), (10**9, 2)):
+        # every game of the episode is solved in a stacked tableau, or none is
+        ranks = record_solve_lp_ranks(monkeypatch)
+        monkeypatch.setattr(games, "_STACK_MIN_GAMES", crossover)
+        runs[rank] = [_fields(record) for record in run_episode(instance, policy, 40, seed=22)]
         monkeypatch.undo()
-        # after the true-value table (and nash-response's mirror), only refreshes
-        refreshes = ranks[2 if policy is Policy.NASH_RESPONSE else 1:]
-        assert set(refreshes) == ({3} if stacked else {2})
-    assert runs[True] == runs[False]
+        assert set(ranks) == {rank}
+    assert runs[3] == runs[2]
 
 
 def _strategy_cases(rng, count: int):

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import record_solve_lp_ranks
 
-from matchgames import linprog
+from matchgames import games, linprog
 from matchgames.errors import DimensionError, InputError
 from matchgames.games import maximin
 from matchgames.learning import ConfidenceState, auto_delta, ucb_matrix
@@ -434,6 +435,26 @@ def test_stacked_maximin_keeps_leading_axes():
         assert values.shape == (2, 3, 4) and strategies.shape == (2, 3, 4, m)
         values, strategies = maximin(np.empty((0, 3, m, k)))
         assert values.shape == (0, 3) and strategies.shape == (0, 3, m)
+
+
+@pytest.mark.parametrize("size", [0, 1, 11, 12, 13])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 3)], ids=["1x1", "2x2", "2x3", "3x3"])
+def test_stacked_maximin_matches_per_game_either_side_of_the_crossover(monkeypatch, size, shape):
+    # fewer than _STACK_MIN_GAMES games are solved one by one and more as one
+    # stacked tableau (1x1 games always read their lone entry), whatever the
+    # leading axes; either way each game gets its own maximin's bits
+    assert games._STACK_MIN_GAMES == 12
+    rng = np.random.default_rng(52)
+    stack = rng.standard_normal((size, *shape))
+    stack[::2] = np.round(stack[::2])  # ties
+    ranks = record_solve_lp_ranks(monkeypatch)
+    expected = [] if shape == (1, 1) else [3] if size >= 12 else [2] * size
+    for form in (stack, stack[None], stack.reshape(size, 1, *shape)):
+        ranks.clear()
+        values, strategies = maximin(form)
+        assert ranks == expected
+        assert values.shape == form.shape[:-2] and strategies.shape == form.shape[:-1]
+        assert_stacked_maximin_matches_per_game(form)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

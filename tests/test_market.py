@@ -127,6 +127,19 @@ def test_deferred_acceptance_on_example():
     assert deferred_acceptance(prefs, Side.RIGHT).pairs == ((0, 1),)
 
 
+def test_deferred_acceptance_refuses_a_side_that_is_not_a_side_member():
+    # Side is an IntEnum, so 0 equals Side.LEFT; it must not run right-proposing
+    prefs = preferences_from_values(
+        EXAMPLE_VALUES,
+        -EXAMPLE_VALUES.T,
+        (EXAMPLE_OUTSIDE, EXAMPLE_OUTSIDE),
+        (EXAMPLE_OUTSIDE, EXAMPLE_OUTSIDE),
+    )
+    for side in (0, 1, "left", None):
+        with pytest.raises(InputError, match=f"^unknown proposing side {side!r}$"):
+            deferred_acceptance(prefs, side)
+
+
 def test_example_matching_is_stable():
     report = subset_instability(example_utilities(), Matching(((0, 1),)))
     assert report.value == 0.0

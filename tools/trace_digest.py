@@ -3,7 +3,8 @@
 Two checkouts whose digests agree produce the same traces to the last byte:
 every compared field of every StepRecord (strategies by dtype, shape and
 bytes; every scalar with its type and repr), every instability report,
-every game solution, and the files run_experiment writes at workers 1 and 2.
+every game solution, maximin on stacks either side of its single/stacked
+crossover, and the files run_experiment writes at workers 1 and 2.
 
     python3 tools/trace_digest.py [SRC]
 
@@ -34,7 +35,7 @@ sys.path.insert(0, str(SRC.resolve()))
 import numpy as np  # noqa: E402
 
 from matchgames.experiments import ExperimentConfig, run_experiment  # noqa: E402
-from matchgames.games import solve_game  # noqa: E402
+from matchgames.games import maximin, solve_game  # noqa: E402
 from matchgames.instability import matching_instability, subset_instability  # noqa: E402
 from matchgames.learning import Policy, run_episode  # noqa: E402
 from matchgames.market import (  # noqa: E402
@@ -149,6 +150,18 @@ def game_solutions() -> Digest:
     return digest
 
 
+def game_stacks() -> Digest:
+    """maximin on stacks of 0 to 16 games of every shape from 1x1 to 4x4."""
+    digest = Digest()
+    rng = np.random.default_rng(8)
+    for m, k in itertools.product(range(1, 5), repeat=2):
+        for size, scale in itertools.product(range(17), (1e-6, 1.0, 1e6)):
+            stack = rng.standard_normal((size, m, k)) * scale
+            digest.add(maximin(stack))
+            digest.add(maximin(np.round(stack / scale) * scale))
+    return digest
+
+
 def experiment_files(workers: int) -> str:
     """One sha256 over the names and bytes of every file run_experiment writes."""
     digest = hashlib.sha256()
@@ -173,6 +186,7 @@ def main() -> int:
         ("step-records", episode_records()),
         ("audit-reports", audit_reports()),
         ("game-solutions", game_solutions()),
+        ("game-stacks", game_stacks()),
     ):
         print(f"{name} {digest.hash.hexdigest()} {digest.count}")
     files = {workers: experiment_files(workers) for workers in (1, 2)}
