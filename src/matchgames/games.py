@@ -38,7 +38,7 @@ def _as_games(game) -> np.ndarray:
     A = np.asarray(game, dtype=float)
     if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
         raise DimensionError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
-    if not np.logical_and.reduce(np.isfinite(A), axis=None):
+    if np.count_nonzero(np.isfinite(A)) < A.size:
         raise InputError("payoff matrix contains non-finite entries")
     return A
 
@@ -114,11 +114,11 @@ def _float_maximin(rows: list) -> tuple[float, list]:
 
 # A stack of fewer games than this is solved game by game; from here up, as
 # one stacked tableau. Measured on optimistic games on a 2-CPU Xeon VM
-# (Python 3.11.7, numpy 2.4.6), a stacked solve costs 0.15 to 0.3 ms plus up
-# to 6 us a game. Game by game, a 2x2 game costs 9 to 15 us, so on 2x2 games
-# the stack breaks even at 17 to 22 games; a 3x3 game costs 26 to 32 us, so
-# there it breaks even at 7 to 8. At 12, a stack of 12 to 21 2x2 games and
-# one of 8 to 11 3x3 games both lose about 0.1 ms at most.
+# (Python 3.11.7, numpy 2.4.6), a stacked solve costs 0.15 to 0.35 ms plus
+# up to 6 us a game. Game by game, a 2x2 game costs 9 to 15 us, so on 2x2
+# games the stack breaks even at 17 to 22 games; a 3x3 game costs 21 to 27 us
+# on the condensed list tableau, so there it breaks even at about 14. At 12,
+# stacks of 12 to 21 2x2 games or 12 to 13 3x3 games lose 0.1 ms at most.
 _STACK_MIN_GAMES = 12
 
 

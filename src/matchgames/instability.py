@@ -124,7 +124,8 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
         right_gaps.setdefault(right, set()).add(gap_right)
 
     # Node 0 is the source and node 1 the sink. Edge e runs to to[e] with
-    # residual capacity res[e]; e ^ 1 is its reverse.
+    # residual capacity res[e]; e ^ 1 is its reverse, kept out of adjacency
+    # if it would enter the source or leave the sink, as no path does.
     adjacency: list = [[], []]
     to: list = []
     res: list = []
@@ -133,7 +134,8 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
         adjacency[u].append(len(to))
         to.append(v)
         res.append(capacity)
-        adjacency[v].append(len(to))
+        if u and v != 1:
+            adjacency[v].append(len(to))
         to.append(u)
         res.append(0.0)
 
@@ -171,6 +173,8 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
         level[0] = 0
         queue = [0]
         for u in queue:
+            if u == 1:
+                break
             next_level = level[u] + 1
             for e in adjacency[u]:
                 v = to[e]
@@ -179,6 +183,9 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
                     queue.append(v)
         if level[1] < 0:
             break
+        depth = level[1]  # unlabel the dead ends beside the sink at its level
+        level = [-1 if d == depth else d for d in level]
+        level[1] = depth
         # blocking flow: iterative depth-first search with per-node cursors
         cursor = [0] * count
         path: list = []

@@ -7,10 +7,11 @@ no artificial or free variables and no status: it pivots by Bland's rule
 until no reduced cost is negative. solve_lp reaches three kernels that
 share that pivot rule and its arithmetic: a single B comes as nested lists
 of Python floats, and a 2x2 one pivots in closed form on those
-(_solve_2x2), any other shape on a list tableau (_list_tableau); a
-(G, m, k) stack of G games runs _stacked, one numpy tableau for the whole
-stack. Each gives every game the same bits. games.maximin picks the form:
-one call per game it solves on its own, or one call for a whole stack.
+(_solve_2x2), any other shape on a list tableau of the nonbasic columns
+(_list_tableau); a (G, m, k) stack of G games runs _stacked, one full
+numpy tableau for the whole stack. Each gives every game the same bits.
+games.maximin picks the form: one call per game it solves on its own, or
+one call for a whole stack.
 """
 
 from __future__ import annotations
@@ -66,46 +67,48 @@ def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | No
 
 
 def _list_tableau(B: list) -> tuple[list, list]:
-    """solve_lp on one B as nested lists of Python floats: a dense tableau from the origin basis.
+    """solve_lp on one B as nested lists of Python floats: a condensed tableau from the origin basis.
 
-    Each pivot divides the leaving row by the pivot, then takes every other
-    row t to t - g * p, g being its entry in the entering column and p the
-    divided row's: _stacked's order, entry by entry, so a game solved here
-    and in a stack gets the same bits.
+    Rows hold the nonbasic columns, named by free as rows are by basis, and
+    the right-hand side. The full tableau's basic columns are exact unit
+    vectors with +0.0 reduced cost: they never enter, win a ratio test or
+    read off as nonzero, so leaving them out changes no step. A pivot writes
+    the leaving variable's unit column over the entering one, divides the
+    leaving row by the pivot and takes every other row t to t - g * p, so
+    each kept entry is the full tableau's (_stacked's) and has its bits.
     """
     m, k = len(B), len(B[0])
-    T = [[*row, *[0.0] * i, 1.0, *[0.0] * (m - 1 - i), 1.0] for i, row in enumerate(B)]
-    T.append([*[-1.0] * k, *[0.0] * (m + 1)])
-    basis = list(range(k, k + m))
-    while True:
-        enter = next((j for j, cost in enumerate(T[m][:-1]) if cost < -PIVOT_TOL), None)
-        if enter is None:
-            break
-        ratios = {i: row[-1] / row[enter] for i, row in enumerate(T[:m]) if row[enter] > PIVOT_TOL}
-        if not ratios:
+    T = [[*row, 1.0] for row in B]
+    T.append([*[-1.0] * k, 0.0])
+    free, basis = list(range(k)), list(range(k, k + m))
+    while entering := [j for j, cost in zip(free, T[m]) if cost < -PIVOT_TOL]:
+        enter = min(entering)
+        c = free.index(enter)
+        ratios = [row[-1] / row[c] if row[c] > PIVOT_TOL else np.inf for row in T]  # inf for the cost row
+        least, runner_up = sorted(ratios)[:2]
+        if least == np.inf:
             raise RuntimeError(f"entering column {enter} has no positive entry")
-        least = min(ratios.values()) + 1e-12
-        leave = min((i for i, ratio in ratios.items() if ratio <= least), key=basis.__getitem__)
-        pivot = T[leave][enter]
+        # ratios within 1e-12 of the least tie, and the lowest basis label among them leaves
+        tied = runner_up <= least + 1e-12 and [j for j, ratio in zip(basis, ratios) if ratio <= least + 1e-12]
+        leave = basis.index(min(tied)) if tied else ratios.index(least)
+        pivot, T[leave][c] = T[leave][c], 1.0
         row = [t / pivot for t in T[leave]]
         for i, old in enumerate(T):
             if i != leave:
-                g = old[enter]
+                g, old[c] = old[c], 0.0
                 T[i] = [t - g * p for t, p in zip(old, row)]
-        T[leave] = row
-        basis[leave] = enter
-    x = [0.0] * (k + m)
-    for i, j in enumerate(basis):
-        x[j] = T[i][-1]
-    return x[:k], T[m][k:-1]
+        T[leave], basis[leave], free[c] = row, enter, basis[leave]
+    return ([T[basis.index(j)][-1] if j in basis else 0.0 for j in range(k)],
+            [T[m][free.index(j)] if j in free else 0.0 for j in range(k, k + m)])
 
 
 def _stacked(B) -> tuple[np.ndarray, np.ndarray]:
-    """_list_tableau on each game of a (G, m, k) stack, as one (G, m+1, k+m+1) numpy tableau.
+    """_list_tableau on each game of a (G, m, k) stack, as one full (G, m+1, k+m+1) numpy tableau.
 
     Each pivot repeats _list_tableau's elementwise steps on every game still
-    live, so each game's (w, u) are _list_tableau's bits; a game whose
-    reduced costs are all nonnegative is read off and leaves the stack.
+    live, on the basic columns too, so each game's (w, u) are _list_tableau's
+    bits; a game whose reduced costs are all nonnegative is read off and
+    leaves the stack.
     """
     G, m, k = B.shape
     T = np.zeros((G, m + 1, k + m + 1))

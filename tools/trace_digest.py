@@ -141,7 +141,8 @@ def audit_reports() -> Digest:
 def game_solutions() -> Digest:
     digest = Digest()
     rng = np.random.default_rng(7)
-    for m, k in itertools.product(range(1, 10), repeat=2):
+    # up to 12x12, past oracle_solve_game's reach: the single-game kernels' bits
+    for m, k in itertools.product(range(1, 13), repeat=2):
         for scale in (1e-6, 1.0, 1e6):
             for _ in range(8):
                 game = rng.standard_normal((m, k)) * scale
