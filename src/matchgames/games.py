@@ -113,12 +113,12 @@ def _float_maximin(rows: list) -> tuple[float, list]:
 
 
 # A stack of fewer games than this is solved game by game; from here up, as
-# one stacked tableau. Measured on optimistic games on a 2-CPU Xeon VM
-# (Python 3.11.7, numpy 2.4.6), a stacked solve costs 0.15 to 0.35 ms plus
-# up to 6 us a game. Game by game, a 2x2 game costs 9 to 15 us, so on 2x2
-# games the stack breaks even at 17 to 22 games; a 3x3 game costs 21 to 27 us
-# on the condensed list tableau, so there it breaks even at about 14. At 12,
-# stacks of 12 to 21 2x2 games or 12 to 13 3x3 games lose 0.1 ms at most.
+# one stacked tableau. Measured on random games on a 2-CPU Xeon VM (Python
+# 3.11.7, numpy 2.4.6), a stacked solve costs 0.06 to 0.09 ms for one game
+# and 0.14 to 0.2 ms for 12 to 32. Game by game, a 2x2 game costs about 8 us
+# and a 3x3 game about 21 us, so the stack breaks even at about 19 2x2 games
+# or 9 3x3 games. At 12, 2x2 stacks of 12 to 18 games and 3x3 stacks of 9 to
+# 11, solved game by game, lose about 0.05 ms at most.
 _STACK_MIN_GAMES = 12
 
 
@@ -150,7 +150,8 @@ def maximin(game) -> tuple[float | np.ndarray, np.ndarray]:
         scale = scale + (scale == 0)  # 0 becomes 1
         _, u = solve_lp(games / scale[:, None, None] + 2.0)
     except RuntimeError as exc:
-        # unreachable for entries in [1, 3]: an entering column has a positive entry
+        # reached when a pivot near PIVOT_TOL leaves an entering column with no entry above it
+        # (ROADMAP item 11): the 3x5 game of test_certificates.py's strict xfail raises it
         raise SolverError(
             f"game solver failed ({exc}) on payoffs of magnitude up to {np.max(np.abs(A)):.3g}"
         ) from exc

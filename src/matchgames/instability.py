@@ -109,10 +109,13 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
     the source; infinite chain edges keep both ladders monotone. A pair
     forbids leaving both members below their covering levels (the lowest
     level >= gap - tol) with one infinite edge from the right member's node
-    to the left member's. Dinic's algorithm finds a maximum flow, and the
-    nodes still reachable from the source, the smallest minimum cut's source
-    side, give the subsidies: among optimal covers, the one that raises left
-    agents least, whatever the order of the pairs or the agents' labels.
+    to the left member's. The graph is laid down in one pass over the
+    ladders, then one over the pairs. Dinic's algorithm finds a maximum
+    flow: each augmenting path takes its bottleneck and is cut back to its
+    first saturated edge. The nodes still reachable from the source, the
+    smallest minimum cut's source side, give the subsidies: among optimal
+    covers, the one that raises left agents least, whatever the order of
+    the pairs or the agents' labels.
     """
     subsidies = list(floors)
     if not pairs:
@@ -124,48 +127,41 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
         right_gaps.setdefault(right, set()).add(gap_right)
 
     # Node 0 is the source and node 1 the sink. Edge e runs to to[e] with
-    # residual capacity res[e]; e ^ 1 is its reverse, kept out of adjacency
-    # if it would enter the source or leave the sink, as no path does.
+    # residual capacity res[e], and e ^ 1 is its reverse, kept out of
+    # adjacency if it would enter the source or leave the sink, as no path
+    # does. ladders[agent] = (first node, levels): node first + t stands for
+    # levels[t + 1], and levels[0] is the agent's floor.
     adjacency: list = [[], []]
     to: list = []
     res: list = []
-
-    def link(u: int, v: int, capacity: float) -> None:
-        adjacency[u].append(len(to))
-        to.append(v)
-        res.append(capacity)
-        if u and v != 1:
-            adjacency[v].append(len(to))
-        to.append(u)
-        res.append(0.0)
-
-    # ladders[agent] = (first node, levels): node first + t stands for
-    # levels[t + 1], and levels[0] is the agent's floor.
+    inf = math.inf
     ladders: dict = {}
     for gaps, is_left in ((left_gaps, True), (right_gaps, False)):
         for agent, agent_gaps in gaps.items():
             levels = [floors[agent], *sorted(agent_gaps)]
-            ladders[agent] = (len(adjacency), levels)
-            for t in range(1, len(levels)):
-                node = len(adjacency)
+            first = len(adjacency)
+            ladders[agent] = (first, levels)
+            for node, low, high in zip(itertools.count(first), levels, levels[1:]):
+                e = len(to)  # the step edge: node -> sink on the left, source -> node on the right
                 adjacency.append([])
-                step = levels[t] - levels[t - 1]
-                if is_left:
-                    link(node, 1, step)
-                    if t > 1:
-                        link(node, node - 1, math.inf)
-                else:
-                    link(0, node, step)
-                    if t > 1:
-                        link(node - 1, node, math.inf)
-    for left, right, gap_left, gap_right in pairs:
+                adjacency[node if is_left else 0].append(e)
+                to += (1, node) if is_left else (node, 0)
+                res += (high - low, 0.0)
+                if node > first:  # the chain edge: node -> node - 1 on the left, node - 1 -> node on the right
+                    tail, head = (node, node - 1) if is_left else (node - 1, node)
+                    adjacency[tail].append(e + 2)
+                    adjacency[head].append(e + 3)
+                    to += (head, tail)
+                    res += (inf, 0.0)
+    for left, right, gap_left, gap_right in pairs:  # the right member's node -> the left member's
         first_left, levels_left = ladders[left]
         first_right, levels_right = ladders[right]
-        link(
-            first_right + bisect.bisect_left(levels_right, gap_right - tol) - 1,
-            first_left + bisect.bisect_left(levels_left, gap_left - tol) - 1,
-            math.inf,
-        )
+        tail = first_right + bisect.bisect_left(levels_right, gap_right - tol) - 1
+        head = first_left + bisect.bisect_left(levels_left, gap_left - tol) - 1
+        adjacency[tail].append(len(to))
+        adjacency[head].append(len(to) + 1)
+        to += (head, tail)
+        res += (inf, 0.0)
 
     count = len(adjacency)
     while True:
@@ -192,11 +188,16 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
         u = 0
         while True:
             if u == 1:
-                push = min(res[e] for e in path)
+                push = inf
                 for e in path:
+                    if res[e] < push:
+                        push = res[e]
+                saturated = -1  # the first edge the push empties; no path holds an edge and its reverse
+                for idx, e in enumerate(path):
                     res[e] -= push
                     res[e ^ 1] += push
-                saturated = next(idx for idx, e in enumerate(path) if res[e] == 0.0)
+                    if saturated < 0 and res[e] == 0.0:
+                        saturated = idx
                 u = to[path[saturated] ^ 1]
                 del path[saturated:]
                 continue

@@ -9,9 +9,9 @@ share that pivot rule and its arithmetic: a single B comes as nested lists
 of Python floats, and a 2x2 one pivots in closed form on those
 (_solve_2x2), any other shape on a list tableau of the nonbasic columns
 (_list_tableau); a (G, m, k) stack of G games runs _stacked, one full
-numpy tableau for the whole stack. Each gives every game the same bits.
-games.maximin picks the form: one call per game it solves on its own, or
-one call for a whole stack.
+numpy tableau that drops finished games in batches. Each gives every game
+the same bits. games.maximin picks the form: one call per game it solves
+on its own, or one call for a whole stack.
 """
 
 from __future__ import annotations
@@ -105,10 +105,14 @@ def _list_tableau(B: list) -> tuple[list, list]:
 def _stacked(B) -> tuple[np.ndarray, np.ndarray]:
     """_list_tableau on each game of a (G, m, k) stack, as one full (G, m+1, k+m+1) numpy tableau.
 
-    Each pivot repeats _list_tableau's elementwise steps on every game still
-    live, on the basic columns too, so each game's (w, u) are _list_tableau's
-    bits; a game whose reduced costs are all nonnegative is read off and
-    leaves the stack.
+    Each pivot repeats _list_tableau's elementwise steps on every game in
+    the stack, on the basic columns too, so each game's (w, u) are
+    _list_tableau's bits. Finished games, whose reduced costs are all
+    nonnegative, are read off and leave once they are half the stack. Until
+    then each pivots its leaving variable back in on that variable's unit
+    column: pivot 1.0, factors +0.0, basis unchanged. Every entry t becomes
+    t - 0 * p, which is t unless t is -0.0, and the tableau starts without
+    -0.0 and never makes one.
     """
     G, m, k = B.shape
     T = np.zeros((G, m + 1, k + m + 1))
@@ -117,32 +121,35 @@ def _stacked(B) -> tuple[np.ndarray, np.ndarray]:
     T[:, :m, -1] = 1.0
     T[:, m, :k] = -1.0
     basis = np.broadcast_to(np.arange(k, k + m), (G, m)).copy()
-    games = np.arange(G)
+    games = rows = np.arange(G)
     x, u = np.zeros((G, k + m)), np.zeros((G, m))
     while games.size:
         negative = T[:, m, :-1] < -PIVOT_TOL
-        live = negative.any(axis=1)
-        if not live.all():
-            done = games[~live]
-            x[done[:, None], basis[~live]] = T[~live, :m, -1]
-            u[done] = T[~live, m, k:-1]
-            T, basis, games, negative = T[live], basis[live], games[live], negative[live]
+        done = ~negative.any(axis=1)
+        finished = np.count_nonzero(done)
+        if 2 * finished >= games.size:
+            live = ~done
+            x[games[done][:, None], basis[done]] = T[done, :m, -1]
+            u[games[done]] = T[done, m, k:-1]
+            T, basis, games, negative, done = T[live], basis[live], games[live], negative[live], done[live]
             if not games.size:
                 break
-        live_games = np.arange(games.size)
+            rows, finished = np.arange(games.size), 0
         enter = negative.argmax(axis=1)
-        column = T[live_games, :m, enter]
+        column = T[rows, :m, enter]
         positive = column > PIVOT_TOL
-        if not positive.any(axis=1).all():
-            stuck = int(np.argmin(positive.any(axis=1)))
-            raise RuntimeError(f"entering column {enter[stuck]} has no positive entry")
         ratios = np.divide(T[:, :m, -1], column, out=np.full((games.size, m), np.inf), where=positive)
-        tied = ratios <= ratios.min(axis=1, keepdims=True) + 1e-12
-        leave = np.where(tied, basis, k + m).argmin(axis=1)
-        row = T[live_games, leave] / column[live_games, leave][:, None]
-        T[live_games, leave] = row
-        factors = T[live_games, :, enter]
-        factors[live_games, leave] = 0.0
+        least = ratios.min(axis=1, keepdims=True)
+        # a column with no positive entry has no finite ratio; a finished game's column does not count
+        if (least == np.inf).any() and (stuck := ~(positive.any(axis=1) | done)).any():
+            raise RuntimeError(f"entering column {enter[stuck.argmax()]} has no positive entry")
+        leave = np.where(ratios <= least + 1e-12, basis, k + m).argmin(axis=1)
+        if finished:  # a finished game's leaving variable enters again, on its own unit column
+            enter = np.where(done, basis[rows, leave], enter)
+        row = T[rows, leave] / T[rows, leave, enter][:, None]
+        T[rows, leave] = row
+        factors = T[rows, :, enter]
+        factors[rows, leave] = 0.0
         T -= factors[:, :, None] * row[:, None, :]
-        basis[live_games, leave] = enter
+        basis[rows, leave] = enter
     return x[:, :k], u

@@ -1,11 +1,16 @@
 """Instability metric: hand cases, reductions, oracle agreement, invariants."""
 
+import bisect
+import collections
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import build_example_market, build_example_profile, realized_payoffs
 
+from matchgames import instability
 from matchgames.errors import DimensionError, InputError
 from matchgames.games import maximin, oracle_solve_game, solve_game
 from matchgames.instability import (
@@ -21,6 +26,7 @@ from matchgames.instability import (
     oracle_mi,
     subset_instability,
 )
+from matchgames.learning import Policy, run_episode
 from matchgames.market import (
     AgentId,
     Generator,
@@ -640,3 +646,91 @@ def test_audit_core_matches_its_array_definition(integer):
                     args = (left_gain, right_gain, matching, current, outside, tol)
                     expected = audit_by_arrays(*args).to_record()
                     assert repr(_audit(*args).to_record()) == repr(expected)
+
+
+def exact_cover(floors: list, pairs: list, tol: float) -> list:
+    """The cheapest cover as a minimum closure, cut exactly on Fractions.
+
+    Written from the closure model, apart from _solve_cover: left node
+    ("L", i, t) means s_i >= levels[t] and pays its step on an edge to the
+    sink, right node ("R", j, t) means s_j < levels[t] and pays its step on
+    an edge from the source. Infinite edges keep each ladder monotone and
+    send a pair's uncovered right level to its left covering level (the
+    lowest level >= gap - tol). Breadth-first augmenting paths find a
+    maximum flow; the nodes the source still reaches, the smallest minimum
+    cut's source side, give each agent its level.
+    """
+    levels = {}
+    for i, j, gap_left, gap_right in pairs:
+        levels.setdefault(("L", i), {floors[i]}).add(gap_left)
+        levels.setdefault(("R", j), {floors[j]}).add(gap_right)
+    levels = {agent: sorted(values) for agent, values in levels.items()}
+    capacity: dict = {}
+
+    def edge(u, v, amount):
+        capacity.setdefault(u, {}).setdefault(v, Fraction(0))
+        capacity.setdefault(v, {}).setdefault(u, Fraction(0))
+        capacity[u][v] += amount
+
+    for (side, agent), ladder in levels.items():
+        for t in range(1, len(ladder)):
+            node, step = (side, agent, t), Fraction(ladder[t]) - Fraction(ladder[t - 1])
+            edge(*((node, "sink") if side == "L" else ("source", node)), step)
+            if t > 1:
+                edge(*((node, (side, agent, t - 1)) if side == "L" else ((side, agent, t - 1), node)), math.inf)
+    for i, j, gap_left, gap_right in pairs:
+        cover_left = bisect.bisect_left(levels["L", i], gap_left - tol)
+        cover_right = bisect.bisect_left(levels["R", j], gap_right - tol)
+        edge(("R", j, cover_right), ("L", i, cover_left), math.inf)
+
+    def reachable() -> dict:
+        parent = {"source": None}
+        queue = collections.deque(["source"])
+        while queue:
+            u = queue.popleft()
+            for v, amount in capacity.get(u, {}).items():
+                if amount > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        return parent
+
+    while "sink" in (parent := reachable()):
+        path = [("sink", parent["sink"])]
+        while path[-1][1] != "source":
+            path.append((path[-1][1], parent[path[-1][1]]))
+        push = min(capacity[u][v] for v, u in path)
+        for v, u in path:
+            capacity[u][v] -= push
+            capacity[v][u] += push
+    source_side = reachable()
+    subsidies = list(floors)
+    for (side, agent), ladder in levels.items():
+        inside = [(side, agent, t) in source_side for t in range(1, len(ladder))]
+        subsidies[agent] = ladder[inside.count(True) if side == "L" else inside.count(False)]
+    return subsidies
+
+
+def recorded_covers(monkeypatch) -> list:
+    """The arguments of every _solve_cover call from now on."""
+    calls, solve = [], instability._solve_cover
+    monkeypatch.setattr(instability, "_solve_cover", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+def test_cover_matches_an_exact_min_cut(monkeypatch):
+    # the audit-dense shapes: 6x6 to 8x8 markets of 3x3 games, empty,
+    # quarter and half matchings, mixed strategies; and a wide self-play
+    # episode, whose rounds hold a few dozen active pairs
+    calls = recorded_covers(monkeypatch)
+    rng = np.random.default_rng(56)
+    for n, share, _ in itertools.product((6, 7, 8), (0, 4, 2), range(4)):  # empty, quarter, half
+        instance = generate_instance(n, n, 3, 3, generator=Generator.GAUSSIAN_UNIT, seed=int(rng.integers(2**31)))
+        size = n // share if share else 0
+        matching = Matching(tuple(zip(range(size), rng.permutation(n)[:size].tolist())))
+        matching_instability(instance, matching, random_profile(instance, matching, rng))
+    instance = generate_instance(16, 16, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=57)
+    run_episode(instance, Policy.SELF_PLAY, 30, seed=57)
+    assert len(calls) == 36 + 30
+    assert max(len(pairs) for _, pairs, _ in calls) >= 40
+    for floors, pairs, tol in calls:
+        assert _solve_cover(floors, pairs, tol) == exact_cover(floors, pairs, tol)

@@ -7,7 +7,7 @@ import pytest
 from conftest import record_solve_lp_ranks
 
 from matchgames import games, linprog
-from matchgames.errors import DimensionError, InputError
+from matchgames.errors import DimensionError, InputError, SolverError
 from matchgames.games import maximin
 from matchgames.learning import ConfidenceState, auto_delta, ucb_matrix
 from matchgames.linprog import solve_lp
@@ -470,3 +470,72 @@ def test_stacked_maximin_refuses_non_finite_entries(bad, shape):
 def test_stacked_maximin_refuses_empty_games():
     with pytest.raises(DimensionError):
         maximin(np.empty((3, 0, 2)))
+
+
+def bland_pivots(B: np.ndarray) -> int:
+    """Pivots Bland's rule takes on max 1^T w s.t. B w <= 1, w >= 0 from the
+    origin, on a plain float tableau, or minus the pivots made before an
+    entering column has no positive entry. It only picks test games."""
+    m, k = B.shape
+    T = np.block([[B, np.eye(m), np.ones((m, 1))], [-np.ones((1, k)), np.zeros((1, m + 1))]])
+    basis = list(range(k, k + m))
+    pivots = 0
+    while (T[m, :-1] < -linprog.PIVOT_TOL).any():
+        enter = int(np.argmax(T[m, :-1] < -linprog.PIVOT_TOL))
+        rows = [i for i in range(m) if T[i, enter] > linprog.PIVOT_TOL]
+        if not rows:
+            return -pivots
+        leave = min(rows, key=lambda i: (T[i, -1] / T[i, enter], basis[i]))
+        T[leave] /= T[leave, enter]
+        T -= np.outer(np.where(np.arange(m + 1) == leave, 0.0, T[:, enter]), T[leave])
+        basis[leave] = enter
+        pivots += 1
+    return pivots
+
+
+def mixed_length_stack(rng, size: int, shape: tuple) -> np.ndarray:
+    """size games of the given shape: a third saddle points, which leave
+    maximin's packing LP after one pivot, a third the longest Bland paths of
+    300 Gaussian games, and the rest in between, in random order."""
+    pool = rng.standard_normal((300, *shape))
+    by_length = pool[np.argsort([bland_pivots(A / np.abs(A).max() + 2.0) for A in pool], kind="stable")]
+    third = size // 3
+    middle = np.linspace(third, len(pool) - third - 1, size - 2 * third).astype(int)
+    stack = np.concatenate([by_length[:third], by_length[middle], by_length[-third:]])
+    assert bland_pivots(stack[0] / np.abs(stack[0]).max() + 2.0) == 1
+    return stack[rng.permutation(size)]
+
+
+@pytest.mark.parametrize("size", [12, 13, 24, 64])
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 5), (5, 3)], ids=["2x2", "3x3", "3x5", "5x3"])
+def test_finished_games_ride_the_stack_unchanged(size, shape):
+    # the stack drops finished games only once they are half of it, so
+    # saddle points pivot as no-ops beside the longest paths until then
+    stack = mixed_length_stack(np.random.default_rng([54, size, *shape]), size, shape)
+    values, strategies = maximin(stack)
+    for game, value, x in zip(stack, values, strategies):
+        expected_value, expected_x = games._float_maximin(game.tolist())
+        assert as_bytes((float(value), x)) == as_bytes((expected_value, np.array(expected_x))), game
+    for lps in packing_stacks(stack):
+        assert_stack_matches_tableau(lps)
+
+
+# the 3x5 game of test_certificates.py's strict xfail, whose pivots near the
+# tolerance leave an entering column with no entry above it
+STUCK_3X5 = np.array([
+    [0.999999994, -1.999999997, -3e-09, 3e-09, -6e-09],
+    [0.999999994, 1.000000003, -3e-09, 1.0, 0.0],
+    [0.999999994, -1.0, 0.0, -3.0, -0.999999994],
+])
+
+
+@pytest.mark.parametrize("position", [0, 6, 12])
+def test_a_stuck_game_gives_its_own_reason_from_a_stack(position):
+    reason = "entering column 7 has no positive entry"
+    with pytest.raises(SolverError, match=rf"^game solver failed \({reason}\) on payoffs of magnitude up to 3$"):
+        maximin(STUCK_3X5)
+    others = mixed_length_stack(np.random.default_rng(55), 12, (3, 5)) * 5.0
+    stack = np.insert(others, position, STUCK_3X5, axis=0)
+    magnitude = f"{np.abs(stack).max():.3g}"
+    with pytest.raises(SolverError, match=rf"^game solver failed \({reason}\) on payoffs of magnitude up to {magnitude}$"):
+        maximin(stack)

@@ -2,8 +2,9 @@
 
 Two checkouts whose digests agree produce the same traces to the last byte:
 every compared field of every StepRecord (strategies by dtype, shape and
-bytes; every scalar with its type and repr), every instability report,
-every game solution, maximin on stacks either side of its single/stacked
+bytes; every scalar with its type and repr), every instability report
+(audit-dense's 6x6 to 8x8 markets of 3x3 games among them), every game
+solution, maximin on stacks either side of its single/stacked
 crossover, and the files run_experiment writes at workers 1 and 2.
 
     python3 tools/trace_digest.py [SRC]
@@ -107,6 +108,15 @@ def random_matching(rng, p: int, a: int) -> Matching:
     return Matching(tuple(zip(lefts, rights)))
 
 
+def dirichlet_profile(rng, matching: Matching, m: int, k: int) -> dict:
+    """A mixed strategy for each matched agent, drawn pair by pair."""
+    strategies = {}
+    for i, j in matching.pairs:
+        strategies[AgentId.left(i)] = rng.dirichlet(np.ones(m))
+        strategies[AgentId.right(j)] = rng.dirichlet(np.ones(k))
+    return strategies
+
+
 def audit_reports() -> Digest:
     """Tie-heavy integer tables and Gaussian tables under subset_instability,
     and random strategy profiles under matching_instability."""
@@ -130,10 +140,22 @@ def audit_reports() -> Digest:
         p, a, m, k = (int(n) for n in rng.integers(1, 4, size=4))
         instance = generate_instance(p, a, m, k, seed=case)
         matching = random_matching(rng, p, a)
-        strategies = {}
-        for i, j in matching.pairs:
-            strategies[AgentId.left(i)] = rng.dirichlet(np.ones(m))
-            strategies[AgentId.right(j)] = rng.dirichlet(np.ones(k))
+        strategies = dirichlet_profile(rng, matching, m, k)
+        digest.add(matching_instability(instance, matching, strategies).to_record())
+    return digest
+
+
+def dense_audit_reports() -> Digest:
+    """matching_instability on 6x6 to 8x8 markets of 3x3 games under empty,
+    quarter and half matchings with Dirichlet strategies: stacks of 36 to 64
+    games, and covers of up to 60-odd active pairs."""
+    digest = Digest()
+    rng = np.random.default_rng(20261020)
+    for n, share, case in itertools.product((6, 7, 8), (0, 4, 2), range(5)):  # empty, quarter, half
+        instance = generate_instance(n, n, 3, 3, generator=Generator.GAUSSIAN_UNIT, seed=100 * n + 10 * share + case)
+        size = n // share if share else 0
+        matching = Matching(tuple(zip(rng.permutation(n)[:size].tolist(), rng.permutation(n)[:size].tolist())))
+        strategies = dirichlet_profile(rng, matching, 3, 3)
         digest.add(matching_instability(instance, matching, strategies).to_record())
     return digest
 
@@ -186,6 +208,7 @@ def main() -> int:
     for name, digest in (
         ("step-records", episode_records()),
         ("audit-reports", audit_reports()),
+        ("dense-audit-reports", dense_audit_reports()),
         ("game-solutions", game_solutions()),
         ("game-stacks", game_stacks()),
     ):
