@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
-from .games import check_strategy, maximin, oracle_solve_game
+from .errors import InputError, check_real
+from .games import check_strategy, oracle_solve_game
 from .market import AgentId, Matching, MarketInstance, Side, UtilityTable
 
 DEFAULT_TOL = 1e-9
@@ -252,7 +252,8 @@ def _audit(
     themselves. tol must be nonnegative: the cover's covering levels assume
     gap - tol never exceeds the gap.
     """
-    if not tol >= 0.0:
+    tol = check_real("tol", tol)
+    if tol < 0.0:
         raise InputError(f"tol must be a nonnegative number, got {tol!r}")
     # numpy's rules on Python floats: a term within tol is 0.0, a tied floor keeps participation
     p, a = left_gain.shape
@@ -296,33 +297,17 @@ def _audit(
 
 
 def matching_instability(
-    instance: MarketInstance,
-    matching: Matching,
-    strategies: dict,
-    *,
-    game_values: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
+    instance: MarketInstance, matching: Matching, strategies: dict, *, tol: float = DEFAULT_TOL
 ) -> InstabilityReport:
     """Minimum total subsidy making (matching, strategies) a stable outcome.
 
     Cross-pair deviations are valued at the pair game's minimax value, so an
     agent's temptation toward a partner ignores what the partner would lose.
-    Without game_values, every pair's game is solved in one stacked maximin
-    call. game_values may carry precomputed left-view values (shape p x a, all
-    finite) so repeated audits of one instance can skip re-solving the games.
+    The values are the instance's game_values, read only once the matching
+    and the profile have passed their checks; an instance solves them once.
     """
-    if game_values is not None:
-        values = np.asarray(game_values, dtype=float)
-        if values.shape != (instance.p, instance.a):
-            raise DimensionError(
-                f"game_values shape {values.shape} does not match ({instance.p}, {instance.a})"
-            )
-        if not np.isfinite(values).all():
-            raise InputError("game_values contains non-finite entries")
-    # the matching and the profile are checked before any game is solved
     realized = _realized(instance, matching, strategies)
-    if game_values is None:
-        values = maximin(instance.games)[0]
+    values = instance.game_values
     outside = (instance.left_outside, instance.right_outside)
     return _audit(values, -values.T, matching, realized, outside, tol)
 

@@ -289,15 +289,14 @@ def run_episode(
     # Left side: optimistic maximin value and strategy per pair. Right side:
     # right_value[j, i] is what right agent j expects against left agent i and
     # right_play[j][i] the strategy it plays there. Nash-response fills the
-    # right side's table here, once; the other policies refresh it per pair.
-    # The audit's true values and nash-response's table each take one stacked
-    # maximin call over every pair's game; a column strategy is the row
-    # strategy of the mirrored game -A^T, as in solve_game.
+    # right side's table here, once, from the instance's game values and one
+    # stacked maximin call over the mirrored games -A^T (a column strategy is
+    # the row strategy of -A^T, as in solve_game); the other policies refresh
+    # it per pair.
     left_value = np.zeros((p, a))
     left_play = [[None] * a for _ in range(p)]
-    true_values = maximin(instance.games)[0]
     if policy is Policy.NASH_RESPONSE:
-        right_value = -true_values.T
+        right_value = -instance.game_values.T
         columns = maximin(-np.swapaxes(instance.games, 2, 3))[1]
         right_play = [[columns[i, j] for i in range(p)] for j in range(a)]
     else:
@@ -365,9 +364,7 @@ def run_episode(
             )
             pair_slack = np.minimum(left_slack, right_slack.T).max()
 
-        mi_report = matching_instability(
-            instance, matching, strategies, game_values=true_values
-        )
+        mi_report = matching_instability(instance, matching, strategies)
         records.append(
             StepRecord(
                 t=t,

@@ -10,12 +10,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, InputError, check_integer
+from .errors import DimensionError, InputError, check_integer, check_real
+from .games import maximin
 
 
 class Side(IntEnum):
@@ -58,7 +59,9 @@ class MarketInstance:
     """A market: p left agents, a right agents, m x k games per cross pair.
 
     games[i, j] is the payoff matrix of pair (left i, right j) from the left
-    side's view. Outside options are per-agent reservation utilities.
+    side's view, held as the instance's own read-only copy, so its
+    game_values, solved once, stay its games' values. Outside options are
+    per-agent reservation utilities.
     """
 
     p: int
@@ -76,7 +79,8 @@ class MarketInstance:
             object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         if self.seed is not None:
             object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
-        games = np.asarray(self.games, dtype=float)
+        games = np.array(self.games, dtype=float)
+        games.flags.writeable = False
         lo = np.atleast_1d(np.asarray(self.left_outside, dtype=float))
         ro = np.atleast_1d(np.asarray(self.right_outside, dtype=float))
         if games.shape != (self.p, self.a, self.m, self.k):
@@ -91,6 +95,14 @@ class MarketInstance:
         object.__setattr__(self, "games", games)
         object.__setattr__(self, "left_outside", lo)
         object.__setattr__(self, "right_outside", ro)
+
+    @cached_property
+    def game_values(self) -> np.ndarray:
+        """Left-view minimax value of every pair's game, a read-only p x a
+        array, solved in one maximin call the first time it is read."""
+        values = maximin(self.games)[0]
+        values.flags.writeable = False
+        return values
 
     def agents(self) -> list[AgentId]:
         return [AgentId.left(i) for i in range(self.p)] + [
@@ -283,8 +295,7 @@ def generate_instance(
     """
     p, a, m, k = (check_integer(name, value, 1) for name, value in zip("pamk", (p, a, m, k)))
     seed = check_integer("seed", seed, 0)
-    if not np.isfinite(outside_option):
-        raise InputError("outside option must be finite")
+    outside_option = check_real("outside_option", outside_option)
     rng = np.random.default_rng(seed)
     if generator is Generator.GAUSSIAN_UNIT:
         games = rng.standard_normal((p, a, m, k))
@@ -298,8 +309,8 @@ def generate_instance(
         m=m,
         k=k,
         games=games,
-        left_outside=np.full(p, float(outside_option)),
-        right_outside=np.full(a, float(outside_option)),
+        left_outside=np.full(p, outside_option),
+        right_outside=np.full(a, outside_option),
         generator=generator,
         seed=seed,
     )

@@ -5,10 +5,12 @@ are otherwise only compared with one another. Here every answer is checked
 against its own game: a row strategy x guarantees its value v (A^T x >= v)
 and a column strategy y holds the row player to it (A y <= v), both within
 1e-9 * max|A|, with x and y probability vectors. Together they pin v to the
-game's value, whatever solved it.
+game's value, whatever solved it. On integer and tenths games an exact
+simplex on fractions, written apart from the kernels, gives the value itself.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +74,69 @@ def test_stacked_games_carry_certificates(scale, side):
         _, ys = maximin(-np.swapaxes(stack, 1, 2))
         for A, v, x, y in zip(stack, values, xs, ys):
             assert_certificate(A, v, x, y)
+
+
+def exact_game(A: np.ndarray) -> tuple[Fraction, list, list]:
+    """The value of A (rows maximize) and optimal x and y, in exact arithmetic.
+
+    Every float entry is read as the rational it is. B = A - min(A) + 1 has
+    positive entries, so max sum(w) s.t. B w <= 1, w >= 0 is bounded and
+    starts feasible at w = 0; at its optimum v_B = 1/sum(w), y = v_B w and
+    x = v_B u, with u the duals of its rows. Bland's rule pivots: the
+    lowest-indexed column with positive reduced profit enters, and among
+    the rows of least ratio the one whose basic variable has the lowest
+    index leaves, so the method cannot cycle.
+    """
+    rows = [[Fraction(a) for a in row] for row in A.tolist()]
+    m, k = len(rows), len(rows[0])
+    shift = 1 - min(map(min, rows))
+    # columns: w_0..w_{k-1}, then the row slacks, then the right-hand side
+    tableau = [
+        [a + shift for a in row] + [Fraction(r == i) for i in range(m)] + [Fraction(1)]
+        for r, row in enumerate(rows)
+    ]
+    profit = [Fraction(1)] * k + [Fraction(0)] * (m + 1)  # its last entry is -sum(w)
+    basis = list(range(k, k + m))
+    while (enter := next((c for c in range(k + m) if profit[c] > 0), None)) is not None:
+        _, _, leave = min(
+            (row[-1] / row[enter], basis[r], r) for r, row in enumerate(tableau) if row[enter] > 0
+        )
+        pivot = tableau[leave]
+        pivot[:] = [t / pivot[enter] for t in pivot]
+        for row in (*tableau[:leave], *tableau[leave + 1:], profit):
+            if row[enter]:
+                row[:] = [t - row[enter] * p for t, p in zip(row, pivot)]
+        basis[leave] = enter
+    v_b = 1 / -profit[-1]
+    w = [0] * k
+    for r, var in enumerate(basis):
+        if var < k:
+            w[var] = tableau[r][-1]
+    return v_b - shift, [-u * v_b for u in profit[k:-1]], [t * v_b for t in w]
+
+
+def assert_exact_certificate(A: np.ndarray, v, x: list, y: list, eps) -> None:
+    """A^T x >= v - eps and A y <= v + eps in exact arithmetic, x and y
+    nonnegative and summing to 1 within 1e-12."""
+    rows = [[Fraction(a) for a in row] for row in A.tolist()]
+    for s in (x, y):
+        assert min(s) >= 0 and abs(sum(s) - 1) <= Fraction(1e-12), s
+    assert min(sum(a * xi for a, xi in zip(col, x)) for col in zip(*rows)) >= v - eps, (A, v, x)
+    assert max(sum(a * yj for a, yj in zip(row, y)) for row in rows) <= v + eps, (A, v, y)
+
+
+@pytest.mark.parametrize("kind", ("integer", "tenths"))
+def test_values_match_an_exact_simplex(kind):
+    rng = np.random.default_rng([33, KINDS.index(kind)])
+    for m, k in itertools.product(range(1, 11), repeat=2):
+        A = draw(rng, kind, (m, k))
+        value, x, y = exact_game(A)
+        assert_exact_certificate(A, value, x, y, 0)  # the reference is exactly optimal
+        eps = Fraction(1e-12) * Fraction(np.abs(A).max())
+        solution = solve_game(A)
+        assert abs(Fraction(solution.value) - value) <= eps, (A, solution.value, value)
+        x, y = ([Fraction(t) for t in s.tolist()] for s in (solution.row_strategy, solution.column_strategy))
+        assert_exact_certificate(A, value, x, y, eps)
 
 
 # Known defect: where payoffs differ by about 1e-9 to 1e-8 of max|A|, near

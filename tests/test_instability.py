@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import build_example_market, build_example_profile, realized_payoffs
 
-from matchgames import instability
+from matchgames import instability, market
 from matchgames.errors import DimensionError, InputError
 from matchgames.games import maximin, oracle_solve_game, solve_game
 from matchgames.instability import (
@@ -158,7 +158,7 @@ def test_value_rationality_floor_and_tag():
 
 
 def test_binding_tag_is_the_larger_floor_term_with_ties_to_participation():
-    # matching pennies at the pure (0, 0) cell with the game value pinned at
+    # matching pennies at the pure (0, 0) cell, whose game value is exactly
     # 0: the right agent realizes -1, a value gap of 1, and its outside
     # option sets the participation term beside it
     profile = {AgentId.left(0): np.array([1.0, 0.0]), AgentId.right(0): np.array([1.0, 0.0])}
@@ -167,9 +167,9 @@ def test_binding_tag_is_the_larger_floor_term_with_ties_to_participation():
         (-0.5, 1.0, TAG_VALUE_GAP),  # participation 0.5, value gap 1
         (0.5, 1.5, TAG_PARTICIPATION),  # participation 1.5, value gap 1
     ):
-        report = matching_instability(
-            pennies_market(right_outside), Matching(((0, 0),)), profile, game_values=np.zeros((1, 1))
-        )
+        instance = pennies_market(right_outside)
+        assert instance.game_values.tolist() == [[0.0]]
+        report = matching_instability(instance, Matching(((0, 0),)), profile)
         assert report.subsidies.amounts == {AgentId.left(0): 0.0, AgentId.right(0): amount}
         assert report.binding == {AgentId.left(0): TAG_NONE, AgentId.right(0): tag}
 
@@ -190,25 +190,6 @@ def test_cover_tag_wins_over_the_floor_it_raises():
     assert report.binding == {
         AgentId.left(0): TAG_NONE, AgentId.left(1): TAG_NONE, AgentId.right(0): TAG_COVER,
     }
-
-
-def test_non_finite_game_values_rejected():
-    instance = generate_instance(2, 2, 2, 2, seed=3)
-    for bad in (np.nan, np.inf, -np.inf):
-        values = np.zeros((2, 2))
-        values[0, 1] = bad
-        with pytest.raises(InputError):
-            matching_instability(instance, Matching(((0, 0),)), {
-                AgentId.left(0): np.array([0.5, 0.5]),
-                AgentId.right(0): np.array([0.5, 0.5]),
-            }, game_values=values)
-
-
-def test_game_values_of_the_wrong_shape_rejected():
-    instance = generate_instance(2, 3, 2, 2, seed=3)
-    with pytest.raises(DimensionError) as info:
-        matching_instability(instance, Matching(()), {}, game_values=np.zeros((3, 2)))
-    assert str(info.value) == "game_values shape (3, 2) does not match (2, 3)"
 
 
 def test_near_equilibrium_clamps_to_exact_zero():
@@ -370,15 +351,13 @@ def test_profile_validation():
 
 
 def test_audit_checks_its_inputs_before_it_solves(monkeypatch):
-    import matchgames.instability as instability
-
     calls = []
 
     def recording_maximin(game):
         calls.append(np.shape(game))
         return maximin(game)
 
-    monkeypatch.setattr(instability, "maximin", recording_maximin)
+    monkeypatch.setattr(market, "maximin", recording_maximin)
     instance = generate_instance(2, 2, 2, 2, seed=5)
     half = np.array([0.5, 0.5])
     with pytest.raises(DimensionError, match="out of range"):
@@ -403,9 +382,23 @@ def test_negative_tolerance_rejected():
     utilities = UtilityTable(
         np.array([[1.0, 0.5], [0.3, 0.2]]), np.array([[0.4, 0.6], [0.7, 0.1]]), (0.0, 0.0), (0.0, 0.0)
     )
-    for tol in (-1e-3, float("nan")):
-        with pytest.raises(InputError):
-            subset_instability(utilities, Matching(()), tol=tol)
+    instance = generate_instance(2, 2, 2, 2, seed=3)
+    audits = (
+        lambda tol: subset_instability(utilities, Matching(()), tol=tol),
+        lambda tol: matching_instability(instance, Matching(()), {}, tol=tol),
+    )
+    for audit in audits:
+        for tol, message in (
+            (-1e-3, "^tol must be a nonnegative number, got -0.001$"),
+            (float("nan"), "^tol must be finite, got nan$"),
+            (float("inf"), "^tol must be finite, got inf$"),
+            ("x", "^tol must be a real number, got 'x'$"),
+            (None, "^tol must be a real number, got None$"),
+            ([0.1], r"^tol must be a real number, got \[0\.1\]$"),
+            (True, "^tol must be a real number, got True$"),
+        ):
+            with pytest.raises(InputError, match=message):
+                audit(tol)
     assert subset_instability(utilities, Matching(()), tol=0.0).value == pytest.approx(1.2, abs=1e-12)
 
 
@@ -574,8 +567,8 @@ def test_audit_scales_with_payoff_units():
 def test_empty_matching_audit_at_n30_is_bounded():
     n = 30
     instance = generate_instance(n, n, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=39)
-    values = np.array([[maximin(instance.games[i, j])[0] for j in range(n)] for i in range(n)])
-    report = matching_instability(instance, Matching(()), {}, game_values=values)
+    values = instance.game_values
+    report = matching_instability(instance, Matching(()), {})
     assert len(report.active_pairs) >= 700
     # unmatched agents sit at their outside options, so every floor is zero
     gap_left = values - np.asarray(instance.left_outside)[:, None]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import build_example_market, record_solve_lp_ranks
 
-from matchgames import games, learning
+from matchgames import games, learning, market
 from matchgames.errors import InputError
 from matchgames.games import check_strategy, maximin, solve_game
 from matchgames.learning import (
@@ -236,17 +236,18 @@ def test_baseline_records_omit_self_play_diagnostics():
 def test_game_solves_per_episode(monkeypatch, policy):
     instance = generate_instance(2, 3, 2, 2, generator=Generator.UNIFORM_SIGNED, seed=14)
     solved = []  # games per maximin call: a stack of G games counts as G
-    monkeypatch.setattr(
-        learning, "maximin", lambda game: solved.append(math.prod(np.shape(game)[:-2])) or maximin(game)
-    )
+    for module in (learning, market):
+        monkeypatch.setattr(
+            module, "maximin", lambda game: solved.append(math.prod(np.shape(game)[:-2])) or maximin(game)
+        )
     records = run_episode(instance, policy, 30, seed=14)
     # round 1 refreshes every pair, each later round the pairs matched before it
     refreshed = 2 * 3 + sum(len(record.matching) for record in records[:-1])
     # only self-play solves the right side's optimistic games; the baselines read
     # the right side's table from exact solutions or from best responses
     expected = refreshed * (2 if policy is Policy.SELF_PLAY else 1)
-    # up front, every pair's true game for the audit; nash-response also solves
-    # each mirrored game -A^T for the right side's exact strategy
+    # once, in the instance, every pair's true game for the audit; nash-response
+    # also solves each mirrored game -A^T for the right side's exact strategy
     expected += 2 * 3 * (2 if policy is Policy.NASH_RESPONSE else 1)
     assert sum(solved) == expected
 
@@ -265,10 +266,11 @@ def _fields(record) -> tuple:
 @pytest.mark.parametrize("policy", list(Policy))
 @pytest.mark.parametrize("shape", [(6, 6, 2, 2), (5, 4, 2, 3)], ids=["square", "non-square"])
 def test_pairwise_and_stacked_refreshes_agree(monkeypatch, policy, shape):
-    instance = generate_instance(*shape, generator=Generator.UNIFORM_SIGNED, seed=22)
     runs = {}
     for crossover, rank in ((0, 3), (10**9, 2)):
-        # every game of the episode is solved in a stacked tableau, or none is
+        # every game of the episode is solved in a stacked tableau, or none is;
+        # a fresh instance a route, so its game values are solved on that route
+        instance = generate_instance(*shape, generator=Generator.UNIFORM_SIGNED, seed=22)
         ranks = record_solve_lp_ranks(monkeypatch)
         monkeypatch.setattr(games, "_STACK_MIN_GAMES", crossover)
         runs[rank] = [_fields(record) for record in run_episode(instance, policy, 40, seed=22)]

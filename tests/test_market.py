@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from conftest import EXAMPLE_OUTSIDE, EXAMPLE_VALUES, all_matchings
 
+from matchgames import market
 from matchgames.errors import DimensionError, InputError
-from matchgames.instability import TAG_COVER, TAG_NONE, TAG_PARTICIPATION, subset_instability
+from matchgames.games import maximin
+from matchgames.instability import (
+    TAG_COVER,
+    TAG_NONE,
+    TAG_PARTICIPATION,
+    matching_instability,
+    subset_instability,
+)
+from matchgames.learning import Policy, run_episode
 from matchgames.market import (
     AgentId,
     Generator,
@@ -362,6 +371,48 @@ def test_instance_validation():
             left_outside=good.left_outside,
             right_outside=good.right_outside,
         )
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [("1", "a real number"), (None, "a real number"), ([1.0], "a real number"), (True, "a real number"),
+     (10**400, "finite"), (float("-inf"), "finite")],
+)
+def test_generate_instance_refuses_an_outside_option_that_is_not_a_finite_real(bad, message):
+    with pytest.raises(InputError, match=f"^outside_option must be {message}, got "):
+        generate_instance(2, 2, 2, 2, outside_option=bad)
+
+
+def test_instance_holds_a_read_only_copy_of_its_games():
+    games = np.arange(16.0).reshape(2, 2, 2, 2)
+    instance = MarketInstance(
+        p=2, a=2, m=2, k=2, games=games, left_outside=(-1.0, -1.0), right_outside=(-1.0, -1.0)
+    )
+    assert not instance.games.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        instance.games[0, 0, 0, 0] = 1.0
+    assert games.flags.writeable
+    games[0, 0, 0, 0] = 99.0
+    assert instance.games[0, 0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 2, 3), (4, 4, 2, 2)], ids=["game-by-game", "stacked"])
+def test_game_values_are_solved_once_and_read_only(monkeypatch, sizes):
+    calls = []
+    monkeypatch.setattr(market, "maximin", lambda game: calls.append(np.shape(game)) or maximin(game))
+    instance = generate_instance(*sizes, seed=8)
+    m, k = sizes[2:]
+    uniform = {AgentId.left(0): np.full(m, 1.0 / m), AgentId.right(1): np.full(k, 1.0 / k)}
+    for _ in range(3):
+        matching_instability(instance, Matching(((0, 1),)), uniform)
+    for policy in Policy:
+        run_episode(instance, policy, 5, seed=8)
+    assert calls == [sizes]
+    values = instance.game_values
+    assert values.tobytes() == maximin(instance.games)[0].tobytes()
+    assert values.shape == sizes[:2] and not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0] = 1.0
 
 
 @pytest.mark.parametrize(
