@@ -26,6 +26,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,24 +68,31 @@ class InstabilityReport:
         }
 
 
+@lru_cache(maxsize=64)
+def _agents(p: int, a: int) -> tuple:
+    """The AgentIds by audit number: left agents 0..p-1, then right agents 0..a-1."""
+    return (*map(AgentId.left, range(p)), *map(AgentId.right, range(a)))
+
+
 def _realized(
     instance: MarketInstance, matching: Matching, strategies: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left and right realized utilities: a matched pair's bilinear game payoff
     under the profile, an unmatched agent's outside option. The profile must
-    hold exactly the matched agents, each a mixed strategy over its actions."""
+    hold exactly the matched agents (as many entries, each present), each a
+    mixed strategy over its actions."""
     matching.validate_for(instance.p, instance.a)
-    ids = [(AgentId.left(i), AgentId.right(j)) for i, j in matching.pairs]
-    expected = {agent for pair in ids for agent in pair}
-    if set(strategies) != expected:
+    agents = _agents(instance.p, instance.a)
+    ids = [(agents[i], agents[instance.p + j]) for i, j in matching.pairs]
+    if len(strategies) != 2 * len(ids) or not all(x in strategies and y in strategies for x, y in ids):
+        expected = {agent for pair in ids for agent in pair}
         missing = sorted(expected - set(strategies))
         extra = sorted(set(strategies) - expected)
         raise InputError(
             f"strategy profile must cover matched agents exactly "
             f"(missing {[str(x) for x in missing]}, extra {[str(x) for x in extra]})"
         )
-    left = instance.left_outside.copy()
-    right = instance.right_outside.copy()
+    left, right = instance.left_outside.copy(), instance.right_outside.copy()
     for (i, j), (left_id, right_id) in zip(matching.pairs, ids):
         try:
             x = check_strategy(strategies[left_id], instance.m)
@@ -257,11 +265,9 @@ def _audit(
         raise InputError(f"tol must be a nonnegative number, got {tol!r}")
     # numpy's rules on Python floats: a term within tol is 0.0, a tied floor keeps participation
     p, a = left_gain.shape
-    current_left, current_right = current[0].tolist(), current[1].tolist()
-    gap_left = [[g - c for g in row] for row, c in zip(left_gain.tolist(), current_left)]
-    gap_right = [[g - c for g, c in zip(row, current_right)] for row in right_gain.T.tolist()]
-    outside_all = outside[0].tolist() + outside[1].tolist()
-    participation = [o - c for o, c in zip(outside_all, current_left + current_right)]
+    gap_left = (left_gain - current[0][:, None]).tolist()
+    gap_right = (right_gain.T - current[1]).tolist()  # [i][j]: right agent j's gap toward left agent i
+    participation = (np.concatenate(outside) - np.concatenate(current)).tolist()
     value_gap = [0.0] * (p + a)
     for i, j in matching.pairs:
         value_gap[i], value_gap[p + j] = gap_left[i][j], gap_right[i][j]
@@ -278,7 +284,7 @@ def _audit(
         if g > bar_left and h > bar_j and (i, j) not in matched
     ]
     final = _solve_cover(floors, pairs, tol)
-    agents = [AgentId.left(i) for i in range(p)] + [AgentId.right(j) for j in range(a)]
+    agents = _agents(p, a)
     terms = zip(agents, final, floors, participation, value_gap)
     binding = {
         agent: TAG_NONE if amount <= 0.0 else TAG_COVER if amount > floor

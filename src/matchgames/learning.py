@@ -46,7 +46,6 @@ from .errors import InputError, check_integer, check_real, check_sizes
 from .games import best_response, maximin
 from .instability import matching_instability
 from .market import (
-    AgentId,
     MarketInstance,
     Matching,
     Side,
@@ -304,6 +303,7 @@ def run_episode(
         right_play = [[None] * p for _ in range(a)]
 
     records: list[StepRecord] = []
+    agents = instance.agents()  # left agent i is agents[i] and right agent j agents[p + j]
     sides = (Side.LEFT, Side.RIGHT) if policy is Policy.SELF_PLAY else (Side.LEFT,)
     refresh = [(i, j) for i in range(p) for j in range(a)]
     for t in range(1, T + 1):
@@ -325,17 +325,14 @@ def run_episode(
         matching = deferred_acceptance(prefs, proposing_side)
 
         event_ok = bool((np.abs(state.means - instance.games) <= widths).all())
-        strategies: dict = {}
-        actions: dict = {}
-        rewards: dict = {}
+        strategies, actions, rewards = {}, {}, {}
         width_bound = 0.0
         # Each agent's optimistic expected payoff: the mean payoff of its match
         # plus the played profile's width mass; unmatched agents sit outside.
         # A pair's statistics are read before its own update, and matched
         # pairs are disjoint, so the update inside this loop reaches no other
         # pair's reads.
-        optimistic_left = instance.left_outside.copy()
-        optimistic_right = instance.right_outside.copy()
+        optimistic_left, optimistic_right = instance.left_outside.copy(), instance.right_outside.copy()
         for i, j in matching.pairs:
             x, y = left_play[i][j], right_play[j][i]
             mass = float(x @ widths[i, j] @ y)
@@ -348,7 +345,7 @@ def run_episode(
             noise = float(stream(_REWARD, i, j).standard_normal())
             reward = float(instance.games[i, j, row_action, col_action]) + noise_scale * noise
             state.update(i, j, row_action, col_action, reward)
-            left, right = AgentId.left(i), AgentId.right(j)
+            left, right = agents[i], agents[p + j]
             strategies[left], strategies[right] = x, y
             actions[left], actions[right] = row_action, col_action
             rewards[left], rewards[right] = reward, -reward

@@ -8,7 +8,7 @@ agent's point of view; the right agent receives the negation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -36,6 +36,10 @@ class AgentId:
 
     def __post_init__(self):
         object.__setattr__(self, "index", check_integer("agent index", self.index, 0))
+        object.__setattr__(self, "_hash", hash((self.side, self.index)))  # the dataclass hash, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # Ids are frozen and compare by value, so one shared instance per index
     # serves every caller; typed keys keep 1, 1.0 and True apart, so a refused
@@ -59,9 +63,9 @@ class MarketInstance:
     """A market: p left agents, a right agents, m x k games per cross pair.
 
     games[i, j] is the payoff matrix of pair (left i, right j) from the left
-    side's view, held as the instance's own read-only copy, so its
-    game_values, solved once, stay its games' values. Outside options are
-    per-agent reservation utilities.
+    side's view, and outside options are per-agent reservation utilities. It
+    holds read-only copies, rebuilt on unpickling, so its checks hold and its
+    game_values, solved once, stay its games' values.
     """
 
     p: int
@@ -80,9 +84,7 @@ class MarketInstance:
         if self.seed is not None:
             object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         games = np.array(self.games, dtype=float)
-        games.flags.writeable = False
-        lo = np.atleast_1d(np.asarray(self.left_outside, dtype=float))
-        ro = np.atleast_1d(np.asarray(self.right_outside, dtype=float))
+        lo, ro = (np.atleast_1d(np.array(v, dtype=float)) for v in (self.left_outside, self.right_outside))
         if games.shape != (self.p, self.a, self.m, self.k):
             raise DimensionError(
                 f"games shape {games.shape} does not match "
@@ -92,9 +94,12 @@ class MarketInstance:
             raise DimensionError("outside option vectors must cover every agent on each side")
         if not (np.isfinite(games).all() and np.isfinite(lo).all() and np.isfinite(ro).all()):
             raise InputError("market instance contains non-finite entries")
-        object.__setattr__(self, "games", games)
-        object.__setattr__(self, "left_outside", lo)
-        object.__setattr__(self, "right_outside", ro)
+        for name, value in (("games", games), ("left_outside", lo), ("right_outside", ro)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, field.name) for field in fields(self))
 
     @cached_property
     def game_values(self) -> np.ndarray:
@@ -105,9 +110,14 @@ class MarketInstance:
         return values
 
     def agents(self) -> list[AgentId]:
-        return [AgentId.left(i) for i in range(self.p)] + [
-            AgentId.right(j) for j in range(self.a)
-        ]
+        return [*map(AgentId.left, range(self.p)), *map(AgentId.right, range(self.a))]
+
+
+def _unchecked(cls, **values):
+    """A cls holding values as given, past __post_init__'s checks: for values valid by construction."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(values)
+    return instance
 
 
 def _index_rows(rows, name: str) -> tuple:
@@ -185,10 +195,8 @@ class UtilityTable:
     right_outside: np.ndarray
 
     def __post_init__(self):
-        lv = np.atleast_2d(np.asarray(self.left, dtype=float))
-        rv = np.atleast_2d(np.asarray(self.right, dtype=float))
-        lo = np.atleast_1d(np.asarray(self.left_outside, dtype=float))
-        ro = np.atleast_1d(np.asarray(self.right_outside, dtype=float))
+        lv, rv = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (self.left, self.right))
+        lo, ro = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.left_outside, self.right_outside))
         p, a = lv.shape
         if rv.shape != (a, p) or lo.shape != (p,) or ro.shape != (a,):
             raise DimensionError(
@@ -197,10 +205,7 @@ class UtilityTable:
             )
         if not np.isfinite(np.concatenate((lv, rv, lo, ro), axis=None)).all():
             raise InputError("utility table contains non-finite entries")
-        object.__setattr__(self, "left", lv)
-        object.__setattr__(self, "right", rv)
-        object.__setattr__(self, "left_outside", lo)
-        object.__setattr__(self, "right_outside", ro)
+        self.__dict__.update(left=lv, right=rv, left_outside=lo, right_outside=ro)  # past frozen __setattr__
 
     def current(self, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) utilities at the matching; unmatched agents sit at their outside option."""
@@ -218,6 +223,7 @@ def preferences_from_values(
 
     Sort is by descending value with ties broken toward the lower index;
     partners valued strictly below the agent's outside option are dropped.
+    The table is checked; the lists, distinct in-range ints by construction, are not.
     """
     table = UtilityTable(left_values, right_values, left_outside, right_outside)
 
@@ -230,9 +236,10 @@ def preferences_from_values(
             for row, cut in zip(values.tolist(), thresholds.tolist())
         )
 
-    return PreferenceProfile(
-        lists(table.left, table.left_outside),
-        lists(table.right, table.right_outside),
+    return _unchecked(
+        PreferenceProfile,
+        left=lists(table.left, table.left_outside),
+        right=lists(table.right, table.right_outside),
     )
 
 
@@ -245,13 +252,15 @@ def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LE
     """
     if not isinstance(proposing_side, Side):
         raise InputError(f"unknown proposing side {proposing_side!r}")
-    if proposing_side is Side.LEFT:
-        proposer_lists, receiver_lists = prefs.left, prefs.right
-    else:
-        proposer_lists, receiver_lists = prefs.right, prefs.left
-    receiver_rank = [{p: r for r, p in enumerate(lst)} for lst in receiver_lists]
+    sides = (prefs.left, prefs.right) if proposing_side is Side.LEFT else (prefs.right, prefs.left)
+    proposer_lists, receiver_lists = sides
+    # receiver_rank[receiver][proposer]: the proposer's rank on the receiver's list, None if absent
+    receiver_rank = [[None] * len(proposer_lists) for _ in receiver_lists]
+    for ranks, lst in zip(receiver_rank, receiver_lists):
+        for rank, proposer in enumerate(lst):
+            ranks[proposer] = rank
     cursor = [0] * len(proposer_lists)
-    held: dict[int, int] = {}
+    held = [None] * len(receiver_lists)
     queue = deque(range(len(proposer_lists)))
     while queue:
         proposer = queue.popleft()
@@ -259,23 +268,23 @@ def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LE
         while cursor[proposer] < len(lst):
             receiver = lst[cursor[proposer]]
             cursor[proposer] += 1
-            rank = receiver_rank[receiver].get(proposer)
+            ranks = receiver_rank[receiver]
+            rank = ranks[proposer]
             if rank is None:
                 continue
-            incumbent = held.get(receiver)
+            incumbent = held[receiver]
             if incumbent is None:
                 held[receiver] = proposer
                 break
-            if rank < receiver_rank[receiver][incumbent]:
+            if rank < ranks[incumbent]:
                 held[receiver] = proposer
                 queue.append(incumbent)
                 break
         # list exhausted: proposer stays unmatched
+    pairs = [pair for pair in enumerate(held) if pair[1] is not None]  # (receiver, proposer), sorted
     if proposing_side is Side.LEFT:
-        pairs = [(proposer, receiver) for receiver, proposer in held.items()]
-    else:
-        pairs = [(receiver, proposer) for receiver, proposer in held.items()]
-    return Matching(tuple(pairs))
+        pairs = sorted((proposer, receiver) for receiver, proposer in pairs)
+    return _unchecked(Matching, pairs=tuple(pairs))  # disjoint, nonnegative and sorted as built
 
 
 def generate_instance(

@@ -335,6 +335,10 @@ def test_profile_validation():
         matching_instability(instance, Matching(((0, 1),)), {})
     with pytest.raises(InputError, match=r"\(missing \[\], extra \['L0', 'L1', 'R0', 'R1'\]\)"):
         matching_instability(instance, Matching(()), build_example_profile())
+    # as many entries as matched agents, but one of them the wrong agent
+    one = np.array([1.0])
+    with pytest.raises(InputError, match=r"\(missing \['R1'\], extra \['R0'\]\)"):
+        matching_instability(instance, Matching(((0, 1),)), {AgentId.left(0): one, AgentId.right(0): one})
     with pytest.raises(DimensionError, match=r"pair \(0, 1\): strategy has shape \(2,\), expected \(1,\)"):
         matching_instability(
             instance,

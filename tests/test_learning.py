@@ -16,7 +16,7 @@ from matchgames.learning import (
     run_episode,
     ucb_matrix,
 )
-from matchgames.market import AgentId, Generator, Matching, Side, generate_instance
+from matchgames.market import AgentId, Generator, MarketInstance, Matching, Side, generate_instance
 
 WIDTH_ONE_VISIT = 1.6651092223153954  # sqrt(2 ln 4), delta = 0.25, one sample
 
@@ -370,6 +370,49 @@ def test_round_layers_are_called_once_per_round(monkeypatch, policy):
         "deferred_acceptance": T,
         "matching_instability": T,
     }
+
+
+@pytest.mark.parametrize("policy", [Policy.NASH_RESPONSE, Policy.BEST_RESPONSE])
+@pytest.mark.parametrize("shape", [(3, 3, 2, 2), (4, 3, 2, 3), (3, 4, 3, 2)])
+def test_first_round_permutes_under_relabelling_the_left_agents(policy, shape):
+    """Round 1 on a market with its left agents relabelled is round 1 of the
+    original, relabelled: the same matching once mapped back, every matched
+    agent's strategy byte for byte, and the same instability up to the order
+    in which its total adds the subsidies (left to right, by label).
+
+    Only round 1 is compared: the random streams are keyed by pair index, so
+    relabelled agents draw other actions, and later rounds learn from them.
+    Self-play is left out: its round-1 optimistic games all tie (every mean
+    is 0 and every width equal), and deferred acceptance breaks ties by
+    index. On generate_instance(3, 3, 2, 2, seed=4) with the left agents
+    relabelled (2, 0, 1), self-play's round 1 matched (0,0),(1,1),(2,2) and
+    the relabelled run, mapped back, (0,1),(1,2),(2,0). Under these two
+    policies the left side's round-1 lists tie the same way in both runs,
+    and the right side ranks by exact game values or best responses.
+    """
+    p = shape[0]
+    matched = 0
+    for seed in range(12):
+        instance = generate_instance(*shape, seed=seed)
+        [record] = run_episode(instance, policy, 1, seed=seed)
+        rng = np.random.default_rng(seed)
+        for sigma in (np.roll(np.arange(p), 1), np.arange(p)[::-1], rng.permutation(p)):
+            # relabelled left agent k is the original left agent sigma[k]
+            relabelled = MarketInstance(
+                *shape, games=instance.games[sigma], left_outside=instance.left_outside[sigma],
+                right_outside=instance.right_outside,
+            )
+            [other] = run_episode(relabelled, policy, 1, seed=seed)
+            mapped = sorted((int(sigma[k]), j) for k, j in other.matching.pairs)
+            assert mapped == list(record.matching.pairs)
+            assert len(other.strategies) == len(record.strategies)
+            for k, j in other.matching.pairs:
+                original = record.strategies[AgentId.left(int(sigma[k]))]
+                assert other.strategies[AgentId.left(k)].tobytes() == original.tobytes()
+                assert other.strategies[AgentId.right(j)].tobytes() == record.strategies[AgentId.right(j)].tobytes()
+            assert other.mi == pytest.approx(record.mi, rel=0.0, abs=1e-12)
+            matched += len(mapped)
+    assert matched > 0
 
 
 def test_run_episode_validation():

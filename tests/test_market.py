@@ -1,5 +1,7 @@
 """Market structures: preferences, deferred acceptance, stability, generation."""
 
+import pickle
+
 import numpy as np
 import pytest
 from conftest import EXAMPLE_OUTSIDE, EXAMPLE_VALUES, all_matchings
@@ -57,6 +59,8 @@ def test_agent_id_constructors_equal_the_plain_ids(index):
     assert AgentId.left(index) == AgentId(Side.LEFT, index)
     assert AgentId.right(index) == AgentId(Side.RIGHT, index)
     assert hash(AgentId.left(index)) == hash(AgentId(Side.LEFT, index))
+    # the dataclass's own formula, so no set or dict of ids changes its order
+    assert hash(AgentId.right(index)) == hash((Side.RIGHT, index))
     assert AgentId.left(index) != AgentId.right(index)
 
 
@@ -98,6 +102,28 @@ def test_preferences_from_values_match_their_definition(size):
             prefs = preferences_from_values(left, right, left_outside, right_outside)
             assert prefs.left == _preferences_by_definition(left, left_outside)
             assert prefs.right == _preferences_by_definition(right, right_outside)
+
+
+@pytest.mark.parametrize("size", [2, 5, 16])
+def test_handed_on_profile_and_matching_equal_checked_ones(size):
+    """preferences_from_values and deferred_acceptance skip their result types'
+    checks; the results must be what the checking constructors build."""
+    rng = np.random.default_rng(100 + size)
+    cut = {"left": 0, "right": 0}
+    for _ in range(40):
+        for left, right, left_outside, right_outside in _tables_with_ties(rng, size, size):
+            prefs = preferences_from_values(left, right, left_outside, right_outside)
+            assert prefs == PreferenceProfile(prefs.left, prefs.right)
+            for name in cut:
+                lists = getattr(prefs, name)
+                assert type(lists) is tuple and all(type(lst) is tuple for lst in lists)
+                assert all(type(entry) is int for lst in lists for entry in lst)
+                cut[name] += sum(len(lst) < size for lst in lists)
+            for side in Side:
+                matching = deferred_acceptance(prefs, side)
+                assert matching == Matching(matching.pairs)
+                assert all(type(index) is int for pair in matching.pairs for index in pair)
+    assert cut["left"] > 0 and cut["right"] > 0  # both sides were truncated
 
 
 def test_preferences_from_example_values():
@@ -394,6 +420,43 @@ def test_instance_holds_a_read_only_copy_of_its_games():
     assert games.flags.writeable
     games[0, 0, 0, 0] = 99.0
     assert instance.games[0, 0, 0, 0] == 0.0
+
+
+def test_instance_holds_read_only_copies_of_its_outside_options():
+    left_outside, right_outside = np.full(2, -1.0), np.full(3, -1.0)
+    instance = MarketInstance(
+        p=2, a=3, m=1, k=1, games=np.zeros((2, 3, 1, 1)),
+        left_outside=left_outside, right_outside=right_outside,
+    )
+    assert instance.left_outside is not left_outside
+    left_outside[0] = 5.0
+    right_outside[1] = 7.0
+    assert instance.left_outside.tolist() == [-1.0, -1.0]
+    assert instance.right_outside.tolist() == [-1.0, -1.0, -1.0]
+    for array in (instance.left_outside, instance.right_outside):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = float("nan")
+    # a scalar outside option is spread over the side, still read-only
+    scalar = MarketInstance(
+        p=1, a=1, m=1, k=1, games=np.zeros((1, 1, 1, 1)), left_outside=-1.0, right_outside=-1.0
+    )
+    assert scalar.left_outside.shape == (1,) and not scalar.left_outside.flags.writeable
+
+
+@pytest.mark.parametrize("read_values", [False, True])
+def test_unpickled_instance_is_rebuilt_read_only(read_values):
+    instance = generate_instance(2, 3, 2, 2, seed=4)
+    if read_values:
+        instance.game_values
+    copy = pickle.loads(pickle.dumps(instance))
+    assert "game_values" not in vars(copy)  # the cache is not carried over
+    for name in ("games", "left_outside", "right_outside"):
+        assert not getattr(copy, name).flags.writeable
+        assert getattr(copy, name).tobytes() == getattr(instance, name).tobytes()
+    assert (copy.p, copy.a, copy.m, copy.k, copy.generator, copy.seed) == (2, 3, 2, 2, instance.generator, 4)
+    assert not copy.game_values.flags.writeable
+    assert copy.game_values.tobytes() == instance.game_values.tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(3, 2, 2, 3), (4, 4, 2, 2)], ids=["game-by-game", "stacked"])
