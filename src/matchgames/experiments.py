@@ -13,10 +13,10 @@ import csv
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -172,13 +172,19 @@ def run_experiment(config: ExperimentConfig) -> RegretTrace:
     # never more processes than CPUs: the pool forks all of them at once
     cpus = os.cpu_count() or 1
     workers = min(config.workers or cpus, cpus, config.runs)
-    # map keeps run order, so the files do not depend on the worker count
-    tasks = (repeat(config), range(config.runs), repeat(str(output_dir)))
+    # results are read in run order, so the files do not depend on the worker count
+    directory = str(output_dir)
     if workers == 1:
-        cumulative_rows = list(map(_single_run, *tasks))
+        cumulative_rows = [_single_run(config, run, directory) for run in range(config.runs)]
     else:
+        # a window of 2 * workers runs in flight; Executor.map would submit them all at once
+        cumulative_rows, window = [], deque()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cumulative_rows = list(pool.map(_single_run, *tasks))
+            for run in range(config.runs):
+                if len(window) == 2 * workers:
+                    cumulative_rows.append(window.popleft().result())
+                window.append(pool.submit(_single_run, config, run, directory))
+            cumulative_rows += [future.result() for future in window]
     cumulative = np.vstack(cumulative_rows)
     mean = cumulative.mean(axis=0)
     std = cumulative.std(axis=0)

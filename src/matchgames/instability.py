@@ -118,12 +118,15 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
     forbids leaving both members below their covering levels (the lowest
     level >= gap - tol) with one infinite edge from the right member's node
     to the left member's. The graph is laid down in one pass over the
-    ladders, then one over the pairs. Dinic's algorithm finds a maximum
-    flow: each augmenting path takes its bottleneck and is cut back to its
-    first saturated edge. The nodes still reachable from the source, the
-    smallest minimum cut's source side, give the subsidies: among optimal
-    covers, the one that raises left agents least, whatever the order of
-    the pairs or the agents' labels.
+    ladders, then one over the pairs. Dinic's first two phases are loops
+    over the pairs: a length-3 path runs source, right node, left node,
+    sink, and a length-4 path adds a chain edge below either end. Each push
+    empties a step edge and none refills one, so each pass is a blocking
+    flow. Dinic's loop then finishes the maximum flow: each augmenting path
+    takes its bottleneck and is cut back to its first saturated edge. The
+    nodes still reachable from the source, the smallest minimum cut's source
+    side, give the subsidies: among optimal covers, the one that raises left
+    agents least, whatever the order of the pairs or the agents' labels.
     """
     subsidies = list(floors)
     if not pairs:
@@ -140,6 +143,7 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
     # does. ladders[agent] = (first node, levels): node first + t stands for
     # levels[t + 1], and levels[0] is the agent's floor.
     adjacency: list = [[], []]
+    step: list = [-1, -1]  # each node's step edge; its chain edge, if any, is step + 2
     to: list = []
     res: list = []
     inf = math.inf
@@ -152,6 +156,7 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
             for node, low, high in zip(itertools.count(first), levels, levels[1:]):
                 e = len(to)  # the step edge: node -> sink on the left, source -> node on the right
                 adjacency.append([])
+                step.append(e)
                 adjacency[node if is_left else 0].append(e)
                 to += (1, node) if is_left else (node, 0)
                 res += (high - low, 0.0)
@@ -161,15 +166,29 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
                     adjacency[head].append(e + 3)
                     to += (head, tail)
                     res += (inf, 0.0)
+    short, bent = [], []  # paths of length 3 and 4: (first step edge, last step edge, reverse edges)
     for left, right, gap_left, gap_right in pairs:  # the right member's node -> the left member's
         first_left, levels_left = ladders[left]
         first_right, levels_right = ladders[right]
         tail = first_right + bisect.bisect_left(levels_right, gap_right - tol) - 1
         head = first_left + bisect.bisect_left(levels_left, gap_left - tol) - 1
-        adjacency[tail].append(len(to))
-        adjacency[head].append(len(to) + 1)
+        e = len(to)
+        adjacency[tail].append(e)
+        adjacency[head].append(e + 1)
         to += (head, tail)
         res += (inf, 0.0)
+        short.append((step[tail], step[head], (e + 1,)))
+        if tail > first_right:  # source -> tail - 1 -> tail -> head -> sink
+            bent.append((step[tail - 1], step[head], (step[tail] + 3, e + 1)))
+        if head > first_left:  # source -> tail -> head -> head - 1 -> sink
+            bent.append((step[tail], step[head - 1], (e + 1, step[head] + 3)))
+    for first, last, backs in short + bent:
+        push = res[first] if res[first] < res[last] else res[last]
+        if push > 0.0:
+            res[first] -= push
+            res[last] -= push
+            for e in backs:
+                res[e] += push
 
     count = len(adjacency)
     while True:
@@ -210,15 +229,16 @@ def _solve_cover(floors: list, pairs: list, tol: float) -> list:
                 del path[saturated:]
                 continue
             edges = adjacency[u]
+            size = len(edges)
             i = cursor[u]
             next_level = level[u] + 1
-            while i < len(edges):
+            while i < size:
                 e = edges[i]
                 if res[e] > 0.0 and level[to[e]] == next_level:
                     break
                 i += 1
             cursor[u] = i
-            if i < len(edges):
+            if i < size:
                 path.append(e)
                 u = to[e]
             elif path:

@@ -255,7 +255,10 @@ def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LE
     sides = (prefs.left, prefs.right) if proposing_side is Side.LEFT else (prefs.right, prefs.left)
     proposer_lists, receiver_lists = sides
     # receiver_rank[receiver][proposer]: the proposer's rank on the receiver's list, None if absent
-    receiver_rank = [[None] * len(proposer_lists) for _ in receiver_lists]
+    # or past the end. A list that ranks over half the proposers spans them all (cheaper than max());
+    # a shorter one ends at its largest proposer, so memory follows the lists' length, not p * a
+    n = len(proposer_lists)
+    receiver_rank = [[None] * (n if 2 * len(lst) > n else max(lst, default=-1) + 1) for lst in receiver_lists]
     for ranks, lst in zip(receiver_rank, receiver_lists):
         for rank, proposer in enumerate(lst):
             ranks[proposer] = rank
@@ -269,7 +272,10 @@ def deferred_acceptance(prefs: PreferenceProfile, proposing_side: Side = Side.LE
             receiver = lst[cursor[proposer]]
             cursor[proposer] += 1
             ranks = receiver_rank[receiver]
-            rank = ranks[proposer]
+            try:
+                rank = ranks[proposer]
+            except IndexError:  # past the end of the receiver's list
+                continue
             if rank is None:
                 continue
             incumbent = held[receiver]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_run_experiment_caps_workers_at_cpu_count(tmp_path, monkeypatch):
     sizes = []
 
     class SerialPool:
-        """A ProcessPoolExecutor stand-in: records its size, maps in this process."""
+        """A ProcessPoolExecutor stand-in: records its size, runs each task in this process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -85,8 +86,10 @@ def test_run_experiment_caps_workers_at_cpu_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     reference = tmp_path / "serial"
     run_experiment(small_config(reference, runs=4))
@@ -98,6 +101,39 @@ def test_run_experiment_caps_workers_at_cpu_count(tmp_path, monkeypatch):
             assert (tmp_path / name / path.name).read_bytes() == path.read_bytes()
     run_experiment(small_config(tmp_path / "one-run", runs=1, workers=5000))
     assert sizes == [2, 2, 2]  # the one-run batch needs no pool
+
+
+def test_pool_keeps_at_most_two_runs_a_worker_in_flight(tmp_path, monkeypatch):
+    unread, peaks = [0], []
+
+    class CountingPool(ThreadPoolExecutor):
+        """A thread pool that counts the futures submitted and not yet read."""
+
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            unread[0] += 1
+            peaks.append(unread[0])
+            result = future.result
+
+            def read(timeout=None):
+                unread[0] -= 1
+                return result(timeout)
+
+            future.result = read
+            return future
+
+    reference = tmp_path / "serial"
+    run_experiment(small_config(reference, T=5, runs=50))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    for workers in (2, 3):
+        run_dir = tmp_path / f"workers-{workers}"
+        unread[0], peaks[:] = 0, []
+        run_experiment(small_config(run_dir, T=5, runs=50, workers=workers))
+        assert len(peaks) == 50 and unread[0] == 0
+        assert max(peaks) == 2 * workers
+        for path in sorted(reference.iterdir()):
+            assert (run_dir / path.name).read_bytes() == path.read_bytes()
 
 
 def test_single_run_trace_matches_direct_episode(tmp_path):

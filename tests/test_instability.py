@@ -714,10 +714,50 @@ def recorded_covers(monkeypatch) -> list:
     return calls
 
 
+def covering_heights(floors: list, pairs: list, tol: float) -> list:
+    """Per pair, the number of ladder levels at or below its right and its
+    left covering level: above 1, the covering node has a chain edge below it."""
+    levels = {}
+    for left, right, gap_left, gap_right in pairs:
+        levels.setdefault(left, {floors[left]}).add(gap_left)
+        levels.setdefault(right, {floors[right]}).add(gap_right)
+    levels = {agent: sorted(values) for agent, values in levels.items()}
+    return [
+        (bisect.bisect_left(levels[right], gap_right - tol), bisect.bisect_left(levels[left], gap_left - tol))
+        for left, right, gap_left, gap_right in pairs
+    ]
+
+
+def tall_ladder_covers(seed: int, count: int) -> list:
+    """Covers on grids of 3 to 6 agents a side, every cross pair active with
+    its own gaps, so most ladders have three or more levels and many
+    covering nodes have a chain edge below them on either side. Even cases
+    hold small integer gaps, which tie often, cut at tol 0 and 1; odd ones
+    hold uniform gaps."""
+    rng = np.random.default_rng(seed)
+    covers = []
+    for case in range(count):
+        p, a = (int(n) for n in rng.integers(3, 7, size=2))
+        integer = case % 2 == 0
+        draw = rng.integers(0, 2, size=p + a) if integer else rng.uniform(0.0, 0.5, size=p + a)
+        floors = [float(floor) for floor in draw]
+        pairs = []
+        for i, j in itertools.product(range(p), range(a)):
+            gaps = rng.integers(3, 9, size=2) if integer else rng.uniform(0.6, 3.0, size=2)
+            pairs.append((i, p + j, float(gaps[0]), float(gaps[1])))
+        tol = float(case % 4 // 2) if integer else 1e-9
+        covers.append((floors, pairs, tol))
+    return covers
+
+
 def test_cover_matches_an_exact_min_cut(monkeypatch):
     # the audit-dense shapes: 6x6 to 8x8 markets of 3x3 games, empty,
-    # quarter and half matchings, mixed strategies; and a wide self-play
-    # episode, whose rounds hold a few dozen active pairs
+    # quarter and half matchings, mixed strategies; a wide self-play
+    # episode, whose rounds hold a few dozen active pairs; empty matchings
+    # of 2x2 markets at n = 8 to 12, covers of 56 to 133 active pairs where
+    # most flow goes along the first two phases' direct paths; and covers
+    # whose ladders are tall on both sides, so that the second phase's
+    # paths run through a chain edge at either end
     calls = recorded_covers(monkeypatch)
     rng = np.random.default_rng(56)
     for n, share, _ in itertools.product((6, 7, 8), (0, 4, 2), range(4)):  # empty, quarter, half
@@ -727,7 +767,28 @@ def test_cover_matches_an_exact_min_cut(monkeypatch):
         matching_instability(instance, matching, random_profile(instance, matching, rng))
     instance = generate_instance(16, 16, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=57)
     run_episode(instance, Policy.SELF_PLAY, 30, seed=57)
-    assert len(calls) == 36 + 30
-    assert max(len(pairs) for _, pairs, _ in calls) >= 40
-    for floors, pairs, tol in calls:
+    for n in range(8, 13):
+        instance = generate_instance(n, n, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=58 + n)
+        matching_instability(instance, Matching(()), {})
+    assert len(calls) == 36 + 30 + 5
+    assert max(len(pairs) for _, pairs, _ in calls[:66]) >= 40
+    assert min(len(pairs) for _, pairs, _ in calls[66:]) >= 50
+    tall = tall_ladder_covers(59, 120)
+    heights = [height for cover in tall for height in covering_heights(*cover)]
+    assert sum(right > 1 for right, _ in heights) > len(heights) // 2
+    assert sum(left > 1 for _, left in heights) > len(heights) // 2
+    for floors, pairs, tol in [*calls, *tall]:
         assert _solve_cover(floors, pairs, tol) == exact_cover(floors, pairs, tol)
+
+
+def test_cover_does_not_depend_on_the_order_of_the_pairs(monkeypatch):
+    calls = recorded_covers(monkeypatch)
+    for n in (6, 10):
+        instance = generate_instance(n, n, 2, 2, generator=Generator.GAUSSIAN_UNIT, seed=60 + n)
+        matching_instability(instance, Matching(()), {})
+    rng = np.random.default_rng(61)
+    for floors, pairs, tol in [*calls, *tall_ladder_covers(62, 40)]:
+        expected = _solve_cover(floors, pairs, tol)
+        for _ in range(3):
+            shuffled = [pairs[index] for index in rng.permutation(len(pairs))]
+            assert _solve_cover(floors, shuffled, tol) == expected

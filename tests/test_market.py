@@ -1,6 +1,7 @@
 """Market structures: preferences, deferred acceptance, stability, generation."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,27 @@ def test_deferred_acceptance_refuses_a_side_that_is_not_a_side_member():
     for side in (0, 1, "left", None):
         with pytest.raises(InputError, match=f"^unknown proposing side {side!r}$"):
             deferred_acceptance(prefs, side)
+
+
+def test_deferred_acceptance_on_sparse_lists_allocates_by_the_lists():
+    # 2000 agents a side, one non-empty list a side: the rank lists must not be 2000 x 2000
+    n = 2000
+    for left_list, right_list, expected in (
+        ((0, 7), (3, 1999), ((1999, 7),)),  # 1999 is absent from right 0's empty list, ranked by right 7
+        ((7,), (3,), ()),  # 1999 lies past the end of right 7's list: absent, not ranked
+    ):
+        left, right = [()] * n, [()] * n
+        left[1999], right[7] = left_list, right_list
+        prefs = PreferenceProfile(left, right)
+        for side in Side:
+            tracemalloc.start()
+            try:
+                matching = deferred_acceptance(prefs, side)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert matching.pairs == expected
+            assert peak < 1_000_000
 
 
 def test_example_matching_is_stable():

@@ -3,7 +3,8 @@
 Two checkouts whose digests agree produce the same traces to the last byte:
 every compared field of every StepRecord (strategies by dtype, shape and
 bytes; every scalar with its type and repr), every instability report
-(audit-dense's 6x6 to 8x8 markets of 3x3 games among them), every game
+(audit-dense's 6x6 to 8x8 markets of 3x3 games and covers of hundreds of
+active pairs at 16x16 to 30x30 among them), every game
 solution, maximin on stacks either side of its single/stacked
 crossover, and the files run_experiment writes at workers 1 and 2.
 
@@ -145,17 +146,22 @@ def audit_reports() -> Digest:
     return digest
 
 
-def dense_audit_reports() -> Digest:
-    """matching_instability on 6x6 to 8x8 markets of 3x3 games under empty,
-    quarter and half matchings with Dirichlet strategies: stacks of 36 to 64
-    games, and covers of up to 60-odd active pairs."""
+def market_audit_reports(seed: int, sizes: tuple, shares: tuple, m: int) -> Digest:
+    """matching_instability on n x n markets of m x m games, five a size and
+    share, each matched on n // share random pairs (share 0: empty) with
+    Dirichlet strategies. The dense corpus, 6x6 to 8x8 markets of 3x3 games
+    under empty, quarter and half matchings, holds stacks of 36 to 64 games
+    and covers of up to 60-odd active pairs; the wide corpus, 16x16 to 30x30
+    markets of 2x2 games under empty and quarter matchings, holds covers of
+    hundreds of active pairs, where the min cut's direct phases do most of
+    their work."""
     digest = Digest()
-    rng = np.random.default_rng(20261020)
-    for n, share, case in itertools.product((6, 7, 8), (0, 4, 2), range(5)):  # empty, quarter, half
-        instance = generate_instance(n, n, 3, 3, generator=Generator.GAUSSIAN_UNIT, seed=100 * n + 10 * share + case)
+    rng = np.random.default_rng(seed)
+    for n, share, case in itertools.product(sizes, shares, range(5)):
+        instance = generate_instance(n, n, m, m, generator=Generator.GAUSSIAN_UNIT, seed=100 * n + 10 * share + case)
         size = n // share if share else 0
         matching = Matching(tuple(zip(rng.permutation(n)[:size].tolist(), rng.permutation(n)[:size].tolist())))
-        strategies = dirichlet_profile(rng, matching, 3, 3)
+        strategies = dirichlet_profile(rng, matching, m, m)
         digest.add(matching_instability(instance, matching, strategies).to_record())
     return digest
 
@@ -208,7 +214,8 @@ def main() -> int:
     for name, digest in (
         ("step-records", episode_records()),
         ("audit-reports", audit_reports()),
-        ("dense-audit-reports", dense_audit_reports()),
+        ("dense-audit-reports", market_audit_reports(20261020, (6, 7, 8), (0, 4, 2), 3)),
+        ("wide-audit-reports", market_audit_reports(20261021, (16, 20, 30), (0, 4), 2)),
         ("game-solutions", game_solutions()),
         ("game-stacks", game_stacks()),
     ):
