@@ -68,17 +68,11 @@ def check_strategy(strategy, n_actions: int) -> np.ndarray:
 
 def _sum(values: list) -> float:
     """np.add.reduce on a 1-d float64 array, to the bit: a plain loop below 8
-    entries, numpy's eight accumulators from 8 to 128, halves above."""
-    n = len(values)
-    if n < 8:
+    entries, where numpy adds in order and the loop is cheaper; numpy itself
+    from 8 up."""
+    if len(values) < 8:
         return reduce(add, values, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    end = n - n % 8
-    r = [reduce(add, values[j:end:8]) for j in range(8)]
-    blocks = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, values[end:], 0.0 + blocks)
+    return float(np.add.reduce(np.array(values)))
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:

@@ -26,13 +26,12 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError, check_real
 from .games import check_strategy, oracle_solve_game
-from .market import AgentId, Matching, MarketInstance, Side, UtilityTable
+from .market import AgentId, Matching, MarketInstance, Side, UtilityTable, _agents
 
 DEFAULT_TOL = 1e-9
 
@@ -68,12 +67,6 @@ class InstabilityReport:
         }
 
 
-@lru_cache(maxsize=64)
-def _agents(p: int, a: int) -> tuple:
-    """The AgentIds by audit number: left agents 0..p-1, then right agents 0..a-1."""
-    return (*map(AgentId.left, range(p)), *map(AgentId.right, range(a)))
-
-
 def _realized(
     instance: MarketInstance, matching: Matching, strategies: dict
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +75,12 @@ def _realized(
     hold exactly the matched agents (as many entries, each present), each a
     mixed strategy over its actions."""
     matching.validate_for(instance.p, instance.a)
-    agents = _agents(instance.p, instance.a)
+    agents = instance.agents()
     ids = [(agents[i], agents[instance.p + j]) for i, j in matching.pairs]
     if len(strategies) != 2 * len(ids) or not all(x in strategies and y in strategies for x, y in ids):
         expected = {agent for pair in ids for agent in pair}
-        missing = sorted(expected - set(strategies))
-        extra = sorted(set(strategies) - expected)
+        missing = sorted(expected - set(strategies), key=str)
+        extra = sorted(set(strategies) - expected, key=str)
         raise InputError(
             f"strategy profile must cover matched agents exactly "
             f"(missing {[str(x) for x in missing]}, extra {[str(x) for x in extra]})"
@@ -269,8 +262,8 @@ def _audit(
 ) -> InstabilityReport:
     """Per-agent floors, then the cheapest cover of the active cross pairs.
 
-    left_gain[i, j] is what left agent i gets with right agent j and
-    right_gain[j, i] the mirror; current and outside are (left, right)
+    left_gain[i, j] and right_gain[i, j] are what left agent i and right
+    agent j get with each other; current and outside are (left, right)
     pairs of arrays holding each agent's current utility and outside
     option. A floor is the larger of the participation term and the
     value-gap term, each taken as zero within tol so that exact equilibria
@@ -286,7 +279,7 @@ def _audit(
     # numpy's rules on Python floats: a term within tol is 0.0, a tied floor keeps participation
     p, a = left_gain.shape
     gap_left = (left_gain - current[0][:, None]).tolist()
-    gap_right = (right_gain.T - current[1]).tolist()  # [i][j]: right agent j's gap toward left agent i
+    gap_right = (right_gain - current[1]).tolist()  # [i][j]: right agent j's gap toward left agent i
     participation = (np.concatenate(outside) - np.concatenate(current)).tolist()
     value_gap = [0.0] * (p + a)
     for i, j in matching.pairs:
@@ -335,7 +328,7 @@ def matching_instability(
     realized = _realized(instance, matching, strategies)
     values = instance.game_values
     outside = (instance.left_outside, instance.right_outside)
-    return _audit(values, -values.T, matching, realized, outside, tol)
+    return _audit(values, -values, matching, realized, outside, tol)
 
 
 def subset_instability(
@@ -348,7 +341,7 @@ def subset_instability(
     """
     current = utilities.current(matching)
     outside = (utilities.left_outside, utilities.right_outside)
-    return _audit(utilities.left, utilities.right, matching, current, outside, tol)
+    return _audit(utilities.left, utilities.right.T, matching, current, outside, tol)
 
 
 def oracle_mi(instance: MarketInstance, matching: Matching, strategies: dict) -> float:

@@ -4,11 +4,11 @@ Each round makes one pass: the pairs whose statistics changed are scored by the
 minimax value of their upper-confidence payoff matrices, preference lists
 built from those values feed deferred acceptance, and each matched pair plays
 its optimistic maximin strategies and feeds one noisy zero-sum reward into a
-shared left-view estimate table. The three policies differ only in the right
-side's table of preference values and per-pair strategies: SELF_PLAY refreshes
-it from the right side's own optimistic maximin, NASH_RESPONSE fills it once
-from the exact game solutions, and BEST_RESPONSE refreshes it with pure best
-responses to the left side's current optimistic strategies.
+shared left-view estimate table. Both sides' values and strategies sit in one
+table indexed [side, i, j], and the policies differ only in the right side's
+half: SELF_PLAY refreshes it from the right side's own optimistic maximin,
+NASH_RESPONSE fills it once from the exact game solutions, and BEST_RESPONSE
+refreshes it with pure best responses to the left side's optimistic strategies.
 
 A round forms its refreshed optimistic games once, as numpy stacks from the
 round's width table, and hands them to one maximin call, or to one call a
@@ -42,7 +42,7 @@ from functools import cache
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import InputError, check_integer, check_real, check_sizes
+from .errors import DimensionError, InputError, check_integer, check_real, check_sizes
 from .games import best_response, maximin
 from .instability import matching_instability
 from .market import (
@@ -79,10 +79,10 @@ class ConfidenceState:
 
     @classmethod
     def fresh(cls, p: int, a: int, m: int, k: int, delta: float) -> ConfidenceState:
+        shape = tuple(check_sizes(p=p, a=a, m=m, k=k))
         delta = check_real("delta", delta)
         if not (0.0 < delta < 1.0):
             raise InputError(f"delta must lie strictly inside (0, 1), got {delta!r}")
-        shape = (p, a, m, k)
         return cls(counts=np.zeros(shape, dtype=np.int64), means=np.zeros(shape), delta=delta)
 
     def update(self, i: int, j: int, row_action: int, col_action: int, reward: float) -> None:
@@ -106,7 +106,9 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     """
     if not isinstance(side, Side):
         raise InputError(f"unknown side {side!r}")
-    i, j = pair
+    i, j = (check_integer("pair index", index, 0) for index in pair)
+    if i >= state.counts.shape[0] or j >= state.counts.shape[1]:
+        raise DimensionError(f"pair {(i, j)} out of range for a state of shape {state.counts.shape}")
     width = state.width(i, j)
     if side is Side.LEFT:
         return state.means[i, j] + width
@@ -285,22 +287,18 @@ def run_episode(
         """default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, i, j)))."""
         return np.random.Generator(np.random.PCG64(_TableSeed(seeds[purpose, i, j])))
 
-    # Left side: optimistic maximin value and strategy per pair. Right side:
-    # right_value[j, i] is what right agent j expects against left agent i and
-    # right_play[j][i] the strategy it plays there. Nash-response fills the
-    # right side's table here, once, from the instance's game values and one
-    # stacked maximin call over the mirrored games -A^T (a column strategy is
-    # the row strategy of -A^T, as in solve_game); the other policies refresh
-    # it per pair.
-    left_value = np.zeros((p, a))
-    left_play = [[None] * a for _ in range(p)]
+    # values[side, i, j] is what side's member of pair (i, j) expects from the
+    # match and plays[side][i][j] the strategy it plays there, side 0 the left
+    # and side 1 the right. The policies differ only in side 1: self-play
+    # refreshes it in the same loop as side 0, best-response overwrites it with
+    # _exploit, and nash-response fills it here, once, from the instance's game
+    # values and one stacked maximin call over the mirrored games -A^T (a
+    # column strategy is the row strategy of -A^T, as in solve_game).
+    values = np.zeros((2, p, a))
+    plays = [[[None] * a for _ in range(p)] for _ in range(2)]
     if policy is Policy.NASH_RESPONSE:
-        right_value = -instance.game_values.T
-        columns = maximin(-np.swapaxes(instance.games, 2, 3))[1]
-        right_play = [[columns[i, j] for i in range(p)] for j in range(a)]
-    else:
-        right_value = np.zeros((a, p))
-        right_play = [[None] * p for _ in range(a)]
+        values[1] = -instance.game_values
+        plays[1] = maximin(-np.swapaxes(instance.games, 2, 3))[1]
 
     records: list[StepRecord] = []
     agents = instance.agents()  # left agent i is agents[i] and right agent j agents[p + j]
@@ -310,18 +308,14 @@ def run_episode(
         # Round 1 solves every pair; later rounds only the pairs that played.
         # One width table a round serves the refresh and the confidence event.
         widths = state.width()
-        solved = _solve_optimistic(state, widths, refresh, sides)
-        for (i, j), (value, x) in zip(refresh, solved[0]):
-            left_value[i, j], left_play[i][j] = value, x
-            if policy is Policy.BEST_RESPONSE:
-                right_value[j, i], right_play[j][i] = _exploit(instance.games[i, j], x)
-        if policy is Policy.SELF_PLAY:
-            for (i, j), (value, y) in zip(refresh, solved[1]):
-                right_value[j, i], right_play[j][i] = value, y
+        for side, solved in enumerate(_solve_optimistic(state, widths, refresh, sides)):
+            for (i, j), (value, play) in zip(refresh, solved):
+                values[side, i, j], plays[side][i][j] = value, play
+        if policy is Policy.BEST_RESPONSE:
+            for i, j in refresh:
+                values[1, i, j], plays[1][i][j] = _exploit(instance.games[i, j], plays[0][i][j])
 
-        prefs = preferences_from_values(
-            left_value, right_value, instance.left_outside, instance.right_outside
-        )
+        prefs = preferences_from_values(values[0], values[1].T, instance.left_outside, instance.right_outside)
         matching = deferred_acceptance(prefs, proposing_side)
 
         event_ok = bool((np.abs(state.means - instance.games) <= widths).all())
@@ -334,7 +328,7 @@ def run_episode(
         # pair's reads.
         optimistic_left, optimistic_right = instance.left_outside.copy(), instance.right_outside.copy()
         for i, j in matching.pairs:
-            x, y = left_play[i][j], right_play[j][i]
+            x, y = plays[0][i][j], plays[1][i][j]
             mass = float(x @ widths[i, j] @ y)
             mean = float(x @ state.means[i, j] @ y)
             width_bound += 4.0 * mass
@@ -353,13 +347,12 @@ def run_episode(
 
         value_slack = pair_slack = None
         if policy is Policy.SELF_PLAY:
-            left_slack = left_value - optimistic_left[:, None]
-            right_slack = right_value - optimistic_right[:, None]
+            left_slack, right_slack = values[0] - optimistic_left[:, None], values[1] - optimistic_right
             value_slack = max(
-                (max(left_slack[i, j], right_slack[j, i]) for i, j in matching.pairs),
+                (max(left_slack[i, j], right_slack[i, j]) for i, j in matching.pairs),
                 default=None,
             )
-            pair_slack = np.minimum(left_slack, right_slack.T).max()
+            pair_slack = np.minimum(left_slack, right_slack).max()
 
         mi_report = matching_instability(instance, matching, strategies)
         records.append(

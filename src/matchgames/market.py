@@ -83,8 +83,8 @@ class MarketInstance:
             object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         if self.seed is not None:
             object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
-        games = np.array(self.games, dtype=float)
-        lo, ro = (np.atleast_1d(np.array(v, dtype=float)) for v in (self.left_outside, self.right_outside))
+        games, lo, ro = (_float_array(name, getattr(self, name)) for name in ("games", "left_outside", "right_outside"))
+        lo, ro = np.atleast_1d(lo, ro)
         if games.shape != (self.p, self.a, self.m, self.k):
             raise DimensionError(
                 f"games shape {games.shape} does not match "
@@ -109,8 +109,22 @@ class MarketInstance:
         values.flags.writeable = False
         return values
 
-    def agents(self) -> list[AgentId]:
-        return [*map(AgentId.left, range(self.p)), *map(AgentId.right, range(self.a))]
+    def agents(self) -> tuple[AgentId, ...]:
+        return _agents(self.p, self.a)
+
+
+@lru_cache(maxsize=64)
+def _agents(p: int, a: int) -> tuple[AgentId, ...]:
+    """The AgentIds by number: left agents 0..p-1, then right agents 0..a-1."""
+    return (*map(AgentId.left, range(p)), *map(AgentId.right, range(a)))
+
+
+def _float_array(name: str, value, copy: bool | None = True) -> np.ndarray:
+    """value as a float array, copied unless copy is None, or an InputError naming the field."""
+    try:
+        return np.array(value, dtype=float, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must hold real numbers: {exc}") from None
 
 
 def _unchecked(cls, **values):
@@ -122,7 +136,10 @@ def _unchecked(cls, **values):
 
 def _index_rows(rows, name: str) -> tuple:
     """rows as int tuples; a bool or a non-integral entry is an InputError naming name."""
-    rows = tuple(map(tuple, rows))
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise InputError(f"{name} rows must be sequences, got {rows!r}") from None
     if not set(map(type, chain.from_iterable(rows))) <= {int}:  # one C-level pass if all are ints
         rows = tuple(tuple(check_integer(name, index) for index in row) for row in rows)
     return rows
@@ -136,6 +153,8 @@ class Matching:
 
     def __post_init__(self):
         pairs = tuple(sorted(_index_rows(self.pairs, "matched index")))
+        if any(len(pair) != 2 for pair in pairs):
+            raise DimensionError(f"a matched pair must hold two indices, got {pairs}")
         left, right = set(), set()
         for i, j in pairs:
             if i < 0 or j < 0:
@@ -195,10 +214,10 @@ class UtilityTable:
     right_outside: np.ndarray
 
     def __post_init__(self):
-        lv, rv = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (self.left, self.right))
-        lo, ro = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (self.left_outside, self.right_outside))
-        p, a = lv.shape
-        if rv.shape != (a, p) or lo.shape != (p,) or ro.shape != (a,):
+        lv, rv, lo, ro = (_float_array(field.name, getattr(self, field.name), None) for field in fields(self))
+        (lv, rv), (lo, ro) = np.atleast_2d(lv, rv), np.atleast_1d(lo, ro)
+        p, a = lv.shape[0], lv.shape[-1]
+        if lv.ndim != 2 or rv.shape != (a, p) or lo.shape != (p,) or ro.shape != (a,):
             raise DimensionError(
                 f"utility table shapes disagree: left {lv.shape}, right {rv.shape}, "
                 f"outside {lo.shape}/{ro.shape}"

@@ -339,6 +339,11 @@ def test_profile_validation():
     one = np.array([1.0])
     with pytest.raises(InputError, match=r"\(missing \['R1'\], extra \['R0'\]\)"):
         matching_instability(instance, Matching(((0, 1),)), {AgentId.left(0): one, AgentId.right(0): one})
+    # keys that cannot be ordered among themselves are named in order of their text
+    with pytest.raises(InputError, match=r"\(missing \[\], extra \['3', 'L0'\]\)"):
+        matching_instability(instance, Matching(()), {"L0": one, 3: one})
+    with pytest.raises(InputError, match=r"\(missing \['L0', 'R1'\], extra \['R0', 'x'\]\)"):
+        matching_instability(instance, Matching(((0, 1),)), {AgentId.right(0): one, "x": one})
     with pytest.raises(DimensionError, match=r"pair \(0, 1\): strategy has shape \(2,\), expected \(1,\)"):
         matching_instability(
             instance,
@@ -476,7 +481,7 @@ def test_cover_matches_level_brute_force():
             rng.choice(a, size=size, replace=False).tolist(),
         ))
         matching = Matching(pairs)
-        report = _audit(left_gain, right_gain, matching, current, outside, tol)
+        report = _audit(left_gain, right_gain.T, matching, current, outside, tol)
         expected = brute_force_cover(left_gain, right_gain, pairs, current, outside, tol)
         assert report.value == pytest.approx(expected, abs=1e-9)
 
@@ -642,7 +647,8 @@ def test_audit_core_matches_its_array_definition(integer):
                 for tol in (0.0, 1e-9, 0.05, 1.0):  # integer gaps hit tol 1.0 exactly
                     args = (left_gain, right_gain, matching, current, outside, tol)
                     expected = audit_by_arrays(*args).to_record()
-                    assert repr(_audit(*args).to_record()) == repr(expected)
+                    report = _audit(left_gain, right_gain.T, matching, current, outside, tol)
+                    assert repr(report.to_record()) == repr(expected)
 
 
 def exact_cover(floors: list, pairs: list, tol: float) -> list:

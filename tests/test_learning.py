@@ -7,7 +7,7 @@ import pytest
 from conftest import build_example_market, record_solve_lp_ranks
 
 from matchgames import games, learning, market
-from matchgames.errors import InputError
+from matchgames.errors import DimensionError, InputError
 from matchgames.games import check_strategy, maximin, solve_game
 from matchgames.learning import (
     ConfidenceState,
@@ -40,6 +40,37 @@ def test_auto_delta_frozen_values():
 def test_auto_delta_sizes_follow_the_integer_rule(sizes, message):
     with pytest.raises(InputError, match=message):
         auto_delta(*sizes)
+
+
+@pytest.mark.parametrize(
+    ("sizes", "message"),
+    [
+        ((2.5, 1, 1, 1), "^p must be an integer"),
+        ((-1, 1, 1, 1), "^p must be at least 1"),
+        ((1, 0, 1, 1), "^a must be at least 1"),
+        ((1, 1, 1, True), "^k must be an integer"),
+    ],
+)
+def test_fresh_state_sizes_follow_the_integer_rule(sizes, message):
+    with pytest.raises(InputError, match=message):
+        ConfidenceState.fresh(*sizes, delta=0.25)
+
+
+@pytest.mark.parametrize(
+    ("pair", "error", "message"),
+    [
+        ((-1, 0), InputError, "^pair index must be at least 0, got -1$"),
+        ((0, -1), InputError, "^pair index must be at least 0, got -1$"),
+        ((1.0, 0), InputError, "^pair index must be an integer, got 1.0$"),
+        ((1, 0), DimensionError, r"^pair \(1, 0\) out of range for a state of shape \(1, 2, 2, 3\)$"),
+        ((0, 2), DimensionError, r"^pair \(0, 2\) out of range"),
+    ],
+)
+def test_ucb_matrix_refuses_a_pair_outside_the_state(pair, error, message):
+    state = ConfidenceState.fresh(1, 2, 2, 3, delta=0.25)
+    with pytest.raises(InputError, match=message) as info:
+        ucb_matrix(state, pair)
+    assert type(info.value) is error
 
 
 def test_confidence_state_update_and_width():

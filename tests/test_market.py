@@ -352,6 +352,33 @@ def test_constructors_refuse_rather_than_truncate(build, field):
             build()
 
 
+@pytest.mark.parametrize(
+    ("build", "error", "message"),
+    [
+        (lambda: UtilityTable(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
+         DimensionError, "left (2, 2, 2)"),
+        (lambda: preferences_from_values(np.zeros((2, 2, 2)), np.zeros((2, 2)), np.zeros(2), np.zeros(2)),
+         DimensionError, "left (2, 2, 2)"),
+        (lambda: UtilityTable([[0.0]], [["x"]], [0.0], [0.0]), InputError, "right must hold real numbers"),
+        (lambda: Matching(((0, 1, 2),)), DimensionError, "a matched pair must hold two indices"),
+        (lambda: Matching((1,)), InputError, "matched index rows must be sequences"),
+        (lambda: PreferenceProfile(left=(0,), right=()), InputError, "left preference list entry rows must be sequences"),
+        (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=[[[["x"]]]], left_outside=(0.0,), right_outside=(0.0,)),
+         InputError, "games must hold real numbers"),
+        (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=np.zeros((1, 1, 1, 1)), left_outside=(0.0,), right_outside=["x"]),
+         InputError, "right_outside must hold real numbers"),
+    ],
+    ids=[
+        "table-3d", "preferences-3d", "table-string", "matching-triple", "matching-flat", "profile-flat",
+        "instance-string-game", "instance-string-outside",
+    ],
+)
+def test_constructors_refuse_malformed_input_with_a_typed_error(build, error, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert type(info.value) is error and message in str(info.value)
+
+
 def test_constructors_read_numpy_integers():
     one, two = np.int64(1), np.int32(2)
     matching = Matching(((one, 0), (0, two)))

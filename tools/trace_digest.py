@@ -3,8 +3,9 @@
 Two checkouts whose digests agree produce the same traces to the last byte:
 every compared field of every StepRecord (strategies by dtype, shape and
 bytes; every scalar with its type and repr), every instability report
-(audit-dense's 6x6 to 8x8 markets of 3x3 games and covers of hundreds of
-active pairs at 16x16 to 30x30 among them), every game
+(audit-dense's 6x6 to 8x8 markets of 3x3 games, covers of hundreds of
+active pairs at 16x16 to 30x30, and tenths-valued audits whose cuts
+rounding residue can decide among them), every game
 solution, maximin on stacks either side of its single/stacked
 crossover, and the files run_experiment writes at workers 1 and 2.
 
@@ -43,6 +44,7 @@ from matchgames.learning import Policy, run_episode  # noqa: E402
 from matchgames.market import (  # noqa: E402
     AgentId,
     Generator,
+    MarketInstance,
     Matching,
     Side,
     UtilityTable,
@@ -166,6 +168,32 @@ def market_audit_reports(seed: int, sizes: tuple, shares: tuple, m: int) -> Dige
     return digest
 
 
+def tenths_audit_reports() -> Digest:
+    """Audits at tol 0 with payoffs and outside options in tenths, 2 to 6
+    agents a side: subset_instability on utility tables, and
+    matching_instability on markets of 1x1 games under any matching. Tenths
+    are not exact in binary, so rounding residue decides some of these min
+    cuts, and any reordering of the audit's float arithmetic shows here."""
+    digest = Digest()
+    rng = np.random.default_rng(20261026)
+
+    def tenths(low: int, high: int, *shape: int) -> np.ndarray:
+        return rng.integers(low, high + 1, size=shape) / 10.0
+
+    for case in range(1500):
+        p, a = (int(n) for n in rng.integers(2, 7, size=2))
+        matching = random_matching(rng, p, a)
+        outside = tenths(-20, 0, p), tenths(-20, 0, a)
+        table = UtilityTable(tenths(-10, 10, p, a), tenths(-10, 10, a, p), *outside)
+        digest.add(subset_instability(table, matching, tol=0.0).to_record())
+        instance = MarketInstance(
+            p=p, a=a, m=1, k=1, games=tenths(-10, 10, p, a, 1, 1), left_outside=outside[0], right_outside=outside[1]
+        )
+        strategies = dirichlet_profile(rng, matching, 1, 1)
+        digest.add(matching_instability(instance, matching, strategies, tol=0.0).to_record())
+    return digest
+
+
 def game_solutions() -> Digest:
     digest = Digest()
     rng = np.random.default_rng(7)
@@ -216,6 +244,7 @@ def main() -> int:
         ("audit-reports", audit_reports()),
         ("dense-audit-reports", market_audit_reports(20261020, (6, 7, 8), (0, 4, 2), 3)),
         ("wide-audit-reports", market_audit_reports(20261021, (16, 20, 30), (0, 4), 2)),
+        ("tenths-audit-reports", tenths_audit_reports()),
         ("game-solutions", game_solutions()),
         ("game-stacks", game_stacks()),
     ):
