@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FormatError, InputError
 from .instability import InstabilityReport
-from .market import AgentId, Generator, MarketInstance, Matching, PreferenceProfile, Side
+from .market import AgentId, Generator, MarketInstance, Matching, PreferenceProfile, Side, _holds_bool
 
 FORMAT_VERSION = 1
 INSTANCE_FORMAT = "market-instance"
@@ -74,14 +74,6 @@ def _whole(value) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
-
-
-def _holds_bool(value) -> bool:
-    """Whether a JSON true or false sits in value, a number or nested lists."""
-    level = [value]
-    while level and bool not in map(type, level):
-        level = [item for items in level if type(items) is list for item in items]
-    return bool(level)
 
 
 def _reals(value, label: str, vector: bool = False) -> np.ndarray:

@@ -8,9 +8,9 @@ payoffs' units. maximin takes one game or a stack of shape (..., m, k),
 checks it once and picks its route by the number of games: a single game,
 or a stack of fewer than _STACK_MIN_GAMES, is scaled, solved and read back
 game by game on Python floats (one solve_lp call a game); a larger stack is
-scaled, solved as one stacked tableau and read back with numpy's ufuncs
-(one solve_lp call). 1x1 games read their lone entry. Both routes give
-every game the same bits.
+scaled, solved in one solve_lp call (2x2 games along their pivot paths on
+arrays, other shapes as one stacked tableau) and read back with numpy's
+ufuncs. 1x1 games read their lone entry. Both routes give every game the same bits.
 oracle_solve_game is an independent enumeration-based checker kept for
 cross-validation and must stay free of the LP machinery.
 """
@@ -106,13 +106,13 @@ def _float_maximin(rows: list) -> tuple[float, list]:
     return (1.0 / _sum(u) - 2.0) * scale + 0.0, [v / total for v in x]
 
 
-# A stack of fewer games than this is solved game by game; from here up, as
-# one stacked tableau. Measured on random games on a 2-CPU Xeon VM (Python
-# 3.11.7, numpy 2.4.6), a stacked solve costs 0.06 to 0.09 ms for one game
-# and 0.14 to 0.2 ms for 12 to 32. Game by game, a 2x2 game costs about 8 us
-# and a 3x3 game about 21 us, so the stack breaks even at about 19 2x2 games
-# or 9 3x3 games. At 12, 2x2 stacks of 12 to 18 games and 3x3 stacks of 9 to
-# 11, solved game by game, lose about 0.05 ms at most.
+# A stack of fewer games than this is solved game by game; from here up, in
+# one solve_lp call. Measured on random games on a 2-CPU Xeon VM (Python
+# 3.11.7, numpy 2.4.6), a stacked tableau costs 0.06 to 0.09 ms for one game
+# and 0.14 to 0.2 ms for 12 to 32, and a 2x2 stack on its pivot paths 0.06 to
+# 0.07 ms for 1 to 32 games. Game by game, a 2x2 game costs about 7 us and a
+# 3x3 game about 21 us, so a stack breaks even at about 9 games of either.
+# At 12, stacks of 9 to 11 solved game by game lose 0.015 ms (2x2) or 0.05 ms (3x3) at most.
 _STACK_MIN_GAMES = 12
 
 

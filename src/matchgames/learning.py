@@ -106,6 +106,8 @@ def ucb_matrix(state: ConfidenceState, pair: tuple[int, int], side: Side = Side.
     """
     if not isinstance(side, Side):
         raise InputError(f"unknown side {side!r}")
+    if not hasattr(pair, "__len__") or len(pair) != 2:
+        raise DimensionError(f"pair must hold two indices, got {pair!r}")
     i, j = (check_integer("pair index", index, 0) for index in pair)
     if i >= state.counts.shape[0] or j >= state.counts.shape[1]:
         raise DimensionError(f"pair {(i, j)} out of range for a state of shape {state.counts.shape}")

@@ -4,11 +4,12 @@ A game with payoffs shifted into [1, 3] reduces to one packing LP
 (Dantzig 1951): maximize 1^T w subject to B w <= 1, w >= 0. The origin is a
 feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
-until no reduced cost is negative. solve_lp reaches three kernels that
+until no reduced cost is negative. solve_lp reaches four kernels that
 share that pivot rule and its arithmetic: a single B comes as nested lists
 of Python floats, and a 2x2 one pivots in closed form on those
 (_solve_2x2), any other shape on a list tableau of the nonbasic columns
-(_list_tableau); a (G, m, k) stack of G games runs _stacked, one full
+(_list_tableau); a (G, 2, 2) stack runs _solve_2x2's pivot paths on arrays
+(_stacked_2x2), and a (G, m, k) stack of any other shape _stacked, one full
 numpy tableau that drops finished games in batches. Each gives every game
 the same bits. games.maximin picks the form: one call per game it solves
 on its own, or one call for a whole stack.
@@ -30,10 +31,13 @@ def solve_lp(B):
     min 1^T u s.t. B^T u >= 1, u >= 0 with 1^T u = 1^T w. B given as nested
     lists of Python floats gets lists back; a 2x2 B is solved by _solve_2x2
     where it admits B. An m x k array B gets arrays back, by the same route.
-    A (G, m, k) array B is G games, solved together: w is (G, k) and u (G, m).
+    A (G, m, k) array B is G games, solved together: w is (G, k) and u (G, m),
+    a stack of 2x2 games along _solve_2x2's pivot paths where it admits them.
     """
     if type(B) is not list:
-        return _stacked(B) if B.ndim == 3 else tuple(np.array(v) for v in solve_lp(B.tolist()))
+        if B.ndim == 3:
+            return _stacked_2x2(B) if B.shape[1:] == (2, 2) else _stacked(B)
+        return tuple(np.array(v) for v in solve_lp(B.tolist()))
     return len(B) == 2 == len(B[0]) and _solve_2x2(*B[0], *B[1]) or _list_tableau(B)
 
 
@@ -153,3 +157,44 @@ def _stacked(B) -> tuple[np.ndarray, np.ndarray]:
         T -= factors[:, :, None] * row[:, None, :]
         basis[rows, leave] = enter
     return x[:, :k], u
+
+
+def _stacked_2x2(B) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked on a (G, 2, 2) stack: _solve_2x2 on every game at once, along its four pivot paths.
+
+    Rows are reordered so that hi, the row with the larger first entry,
+    comes first: [[p, q], [r, s]]. Each path's (w, u) are elementwise
+    expressions that repeat _solve_2x2's arithmetic in its order, and masks
+    pick each game's path: q >= p stops at the first pivot; else s <= q
+    pivots on the hi row; else s >= r on the lo row; else on the lo row,
+    then on the hi row at the hi slack. Refused games go to _list_tableau.
+    """
+    G, B = len(B), B.astype(float, copy=False)
+    with np.errstate(all="ignore"):  # every path is computed for every game, off its own path too
+        # _solve_2x2's guard on |a - b|, |c - d|, |a - c| and |b - d|
+        near = np.abs(np.concatenate((B[:, :, 0] - B[:, :, 1], B[:, 0] - B[:, 1]), axis=1))
+        admitted = (((B >= 1.0) & (B <= 3.0)).all(axis=(1, 2)) & ~((near > 0.0) & (near < 1e-5)).any(axis=1)
+                    & ((near[:, 3] != 0.0) | (near[:, 2] == 0.0) | (near[:, 2] >= 1e-2)))
+        swap = B[:, 0, 0] < B[:, 1, 0]
+        p, q, r, s = np.where(swap[:, None, None], B[:, ::-1], B).reshape(G, 4).T
+        # pivot 1, on p: the hi row is [1, ratio, inv, 0, inv] and the cost row [0, cost, inv, 0, inv]
+        inv, ratio = 1.0 / p, q / p
+        cost, gap = ratio - 1.0, s - r * ratio  # -1 - (-1) * ratio, and the lo row's entry at w_2
+        # pivot 2 at w_2 on the lo row: its row (lo_), the hi row (hi_) and the cost row (u_) at the
+        # hi slack (hs), the lo slack (ls) and the right-hand side (rhs); or on the hi row (w_hi)
+        lo_hs, lo_ls, lo_rhs = (0.0 - r * inv) / gap, 1.0 / gap, (1.0 - r * inv) / gap
+        hi_hs, hi_ls, hi_rhs = inv - ratio * lo_hs, 0.0 - ratio * lo_ls, inv - ratio * lo_rhs
+        u_hs, u_ls, w_hi = inv - cost * lo_hs, 0.0 - cost * lo_ls, inv / ratio
+        # pivot 3 at the hi slack on the hi row, where u_hs ends as u_hs - u_hs * 1.0, that is +0.0
+        last_w, last_u = lo_rhs - lo_hs * (hi_rhs / hi_hs), u_ls - u_hs * (hi_ls / hi_hs)
+        first, hi_row, lo_row = q >= p, s <= q, s >= r
+        w = np.empty((G, 2))
+        w[:, 0] = np.where(first, inv, np.where(hi_row | ~lo_row, 0.0, hi_rhs))
+        w[:, 1] = np.where(first, 0.0, np.where(hi_row, w_hi, np.where(lo_row, lo_rhs, last_w)))
+        u_hi = np.where(first, inv, np.where(hi_row, inv - cost * w_hi, np.where(lo_row, u_hs, 0.0)))
+        u_lo = np.where(first | hi_row, 0.0, np.where(lo_row, u_ls, last_u))
+    u = np.empty((G, 2))
+    u[:, 0], u[:, 1] = np.where(swap, u_lo, u_hi), np.where(swap, u_hi, u_lo)
+    for game in (~admitted).nonzero()[0]:
+        w[game], u[game] = _list_tableau(B[game].tolist())
+    return w, u

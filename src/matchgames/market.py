@@ -119,8 +119,18 @@ def _agents(p: int, a: int) -> tuple[AgentId, ...]:
     return (*map(AgentId.left, range(p)), *map(AgentId.right, range(a)))
 
 
+def _holds_bool(value) -> bool:
+    """Whether a bool sits in value, a number or nested lists and tuples (a JSON true or false, say)."""
+    level = [value]
+    while level and {bool, np.bool_}.isdisjoint(map(type, level)):
+        level = [item for items in level if type(items) in (list, tuple) for item in items]
+    return bool(level)
+
+
 def _float_array(name: str, value, copy: bool | None = True) -> np.ndarray:
-    """value as a float array, copied unless copy is None, or an InputError naming the field."""
+    """value as a float array, copied unless copy is None, or an InputError naming the field; a bool is refused."""
+    if value.dtype.kind == "b" if isinstance(value, np.ndarray) else _holds_bool(value):
+        raise InputError(f"{name} must hold real numbers, not bools")
     try:
         return np.array(value, dtype=float, copy=copy)
     except (TypeError, ValueError) as exc:

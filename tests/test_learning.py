@@ -64,6 +64,10 @@ def test_fresh_state_sizes_follow_the_integer_rule(sizes, message):
         ((1.0, 0), InputError, "^pair index must be an integer, got 1.0$"),
         ((1, 0), DimensionError, r"^pair \(1, 0\) out of range for a state of shape \(1, 2, 2, 3\)$"),
         ((0, 2), DimensionError, r"^pair \(0, 2\) out of range"),
+        ((0, 0, 0), DimensionError, r"^pair must hold two indices, got \(0, 0, 0\)$"),
+        ((0,), DimensionError, r"^pair must hold two indices, got \(0,\)$"),
+        ((), DimensionError, r"^pair must hold two indices, got \(\)$"),
+        (5, DimensionError, r"^pair must hold two indices, got 5$"),
     ],
 )
 def test_ucb_matrix_refuses_a_pair_outside_the_state(pair, error, message):

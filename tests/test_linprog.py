@@ -377,7 +377,7 @@ def test_list_tableau_matches_one_game_stacks_from_1x1_to_9x9():
     for games in shaped_games(50, count=3, sides=range(1, 10)):
         for stack in packing_stacks(games):
             for B in stack:
-                (w,), (u,) = solve_lp(B[None])
+                (w,), (u,) = linprog._stacked(B[None])  # solve_lp would take a 2x2 stack past the tableau
                 assert vector_bytes(linprog._list_tableau(B.tolist())) == vector_bytes((w, u)), B
 
 
@@ -539,3 +539,85 @@ def test_a_stuck_game_gives_its_own_reason_from_a_stack(position):
     magnitude = f"{np.abs(stack).max():.3g}"
     with pytest.raises(SolverError, match=rf"^game solver failed \({reason}\) on payoffs of magnitude up to {magnitude}$"):
         maximin(stack)
+
+
+def tied_2x2_games(rng, size: int) -> list:
+    """Stacks of size 2x2 games: Gaussian, integer and tenths entries, and
+    Gaussian games with one pair of equal entries, along a row, a column or
+    a diagonal, where Bland's pivot path and the closed form's guard tie."""
+    stacks = [
+        rng.standard_normal((size, 2, 2)),
+        rng.integers(-2, 3, size=(size, 2, 2)).astype(float),
+        rng.integers(-10, 11, size=(size, 2, 2)) / 10.0,
+    ]
+    for first, second in itertools.combinations(range(4), 2):  # cells of the flattened game
+        tied = rng.standard_normal((size, 4))
+        tied[:, second] = tied[:, first]
+        stacks.append(tied.reshape(size, 2, 2))
+    return stacks
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 11, 12, 13, 32, 100, 600])
+def test_2x2_stack_kernel_gives_the_stacked_tableaus_bits(monkeypatch, size):
+    # solve_lp takes every (G, 2, 2) stack along the closed form's four pivot
+    # paths, never through _stacked; each game keeps _stacked's (w, u), zeros' signs included
+    stacked = linprog._stacked
+    lps = [lp for games in tied_2x2_games(np.random.default_rng([56, size]), size) for lp in packing_stacks(games)]
+    lps += [B.astype(np.float32) for B in lps[:2]]  # _stacked's tableau holds float64 whatever B's dtype
+    expected = [vector_bytes(stacked(B)) for B in lps]
+    monkeypatch.setattr(linprog, "_stacked", None)
+    assert [vector_bytes(solve_lp(B)) for B in lps] == expected
+
+
+@pytest.mark.parametrize("size", [12, 13, 32, 600])
+def test_maximin_on_2x2_stacks_gives_the_stacked_tableaus_bits_at_every_scale(monkeypatch, size):
+    stacks = tied_2x2_games(np.random.default_rng([57, size]), size)
+    games = [form * scale for stack in stacks for form in (stack, -np.swapaxes(stack, 1, 2)) for scale in SCALES]
+
+    def solved() -> list:
+        return [(values.tobytes(), strategies.tobytes()) for values, strategies in map(maximin, games)]
+
+    got = solved()
+    monkeypatch.setattr(linprog, "_stacked_2x2", linprog._stacked)
+    assert got == solved()
+
+
+def guard_edge_lps(rng) -> np.ndarray:
+    """2x2 packing LPs with entries at and just past the closed form's range
+    [1, 3], and with neighbours 2**-17 and 2**-16 apart (either side of its
+    1e-5 band) or, beside an equal pair in column 2, 2**-7 and 2**-6 apart
+    (either side of its 1e-2 band)."""
+    lps = [rng.choice([1.0, 3.0, 1.0 - 2**-52, 3.0 + 2**-51, 2.0], size=(400, 2, 2))]
+    for gap in (2**-17, 2**-16, 2**-7, 2**-6):
+        for first, second in itertools.permutations(range(4), 2):
+            B = rng.uniform(1.1, 2.9, size=(20, 4))
+            B[:, second] = B[:, first] + gap * rng.choice([-1.0, 1.0], size=20)
+            lps.append(B.reshape(20, 2, 2))
+        B = rng.uniform(1.1, 2.9, size=(40, 2, 2))
+        B[:, 1, 1] = B[:, 0, 1]
+        B[:, 1, 0] = B[:, 0, 0] + gap * rng.choice([-1.0, 1.0], size=40)
+        lps.append(B)
+    return np.concatenate(lps)
+
+
+def test_2x2_stack_kernel_refuses_exactly_what_the_closed_form_refuses(monkeypatch):
+    rng = np.random.default_rng(58)
+    lps = np.concatenate([
+        random_matrices()[:2000], tie_pattern_matrices(), near_tie_matrices(),
+        rng.uniform(0.5, 3.5, size=(500, 2, 2)), guard_edge_lps(rng),
+    ])
+    refused = [B for B in lps.tolist() if linprog._solve_2x2(*B[0], *B[1]) is None]
+    assert 1000 < len(refused) < len(lps) // 2
+    handed = count_hand_offs(monkeypatch)
+    solve_lp(lps)
+    assert handed == refused
+
+
+def test_2x2_stack_kernel_on_a_stack_of_admitted_and_refused_games(monkeypatch):
+    rng = np.random.default_rng(59)
+    lps = np.concatenate([random_matrices()[:300], near_tie_matrices()[:300]])[rng.permutation(600)]
+    refused = sum(linprog._solve_2x2(*B[0], *B[1]) is None for B in lps.tolist())
+    expected = vector_bytes(linprog._stacked(lps))
+    handed = count_hand_offs(monkeypatch)
+    assert vector_bytes(solve_lp(lps)) == expected
+    assert 100 < len(handed) == refused < 500

@@ -367,10 +367,29 @@ def test_constructors_refuse_rather_than_truncate(build, field):
          InputError, "games must hold real numbers"),
         (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=np.zeros((1, 1, 1, 1)), left_outside=(0.0,), right_outside=["x"]),
          InputError, "right_outside must hold real numbers"),
+        (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=[[[[True]]]], left_outside=[False], right_outside=[0.0]),
+         InputError, "games must hold real numbers, not bools"),
+        (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=np.zeros((1, 1, 1, 1)), left_outside=[False], right_outside=[0.0]),
+         InputError, "left_outside must hold real numbers, not bools"),
+        (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=np.ones((1, 1, 1, 1), dtype=bool), left_outside=[0.0],
+                                right_outside=[0.0]),
+         InputError, "games must hold real numbers, not bools"),
+        (lambda: MarketInstance(p=1, a=1, m=1, k=1, games=np.zeros((1, 1, 1, 1)), left_outside=np.float64(0.0),
+                                right_outside=np.False_),
+         InputError, "right_outside must hold real numbers, not bools"),
+        (lambda: UtilityTable([[True]], [[False]], [True], [0.0]), InputError, "left must hold real numbers, not bools"),
+        (lambda: UtilityTable([[0.5, 1.0]], [[0.0], (np.True_,)], [0.0], [0.0, 0.0]),
+         InputError, "right must hold real numbers, not bools"),
+        (lambda: UtilityTable(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros(1, dtype=bool)),
+         InputError, "right_outside must hold real numbers, not bools"),
+        (lambda: preferences_from_values(np.zeros((2, 2)), np.zeros((2, 2)), (0.0, False), np.zeros(2)),
+         InputError, "left_outside must hold real numbers, not bools"),
     ],
     ids=[
         "table-3d", "preferences-3d", "table-string", "matching-triple", "matching-flat", "profile-flat",
-        "instance-string-game", "instance-string-outside",
+        "instance-string-game", "instance-string-outside", "instance-bool-game", "instance-bool-outside",
+        "instance-bool-array", "instance-numpy-bool", "table-bool", "table-numpy-bool-in-tuple",
+        "table-bool-array", "preferences-bool-outside",
     ],
 )
 def test_constructors_refuse_malformed_input_with_a_typed_error(build, error, message):

@@ -7,7 +7,8 @@ bytes; every scalar with its type and repr), every instability report
 active pairs at 16x16 to 30x30, and tenths-valued audits whose cuts
 rounding residue can decide among them), every game
 solution, maximin on stacks either side of its single/stacked
-crossover, and the files run_experiment writes at workers 1 and 2.
+crossover and on 2x2 stacks tied at the 2x2 closed form's boundaries, and
+the files run_experiment writes at workers 1 and 2.
 
     python3 tools/trace_digest.py [SRC]
 
@@ -219,6 +220,31 @@ def game_stacks() -> Digest:
     return digest
 
 
+def two_by_two_stacks() -> Digest:
+    """maximin on stacks of 12 to 600 2x2 games, and on their mirrored -A^T:
+    Gaussian, integer and tenths games, and games of eighths with one
+    entry at +-1 (so the packing LP is A + 2 exactly) and one pair of
+    cells tied or 2**-17, 2**-16, 2**-7 or 2**-6 apart, either side of the
+    2x2 closed form's guard bands and on its pivot paths' boundaries."""
+    digest = Digest()
+    rng = np.random.default_rng(9)
+    for size, scale in itertools.product((12, 13, 17, 32, 64, 150, 600), (1e-6, 1.0, 1e6)):
+        edges = rng.integers(-8, 9, size=(size, 4)) / 8.0
+        for game, cells in zip(edges, rng.permutation(np.tile(np.arange(4), (size, 1)), axis=1)):
+            gap = rng.choice([0.0, 2**-17, 2**-16, 2**-7, 2**-6]) * rng.choice([-1.0, 1.0])
+            game[cells[1]] = np.clip(game[cells[0]] + gap, -1.0, 1.0)
+            game[cells[2]] = rng.choice([-1.0, 1.0])
+        for stack in (
+            rng.standard_normal((size, 2, 2)),
+            rng.integers(-2, 3, size=(size, 2, 2)).astype(float),
+            rng.integers(-10, 11, size=(size, 2, 2)) / 10.0,
+            edges.reshape(size, 2, 2),
+        ):
+            digest.add(maximin(stack * scale))
+            digest.add(maximin(-np.swapaxes(stack, 1, 2) * scale))
+    return digest
+
+
 def experiment_files(workers: int) -> str:
     """One sha256 over the names and bytes of every file run_experiment writes."""
     digest = hashlib.sha256()
@@ -247,6 +273,7 @@ def main() -> int:
         ("tenths-audit-reports", tenths_audit_reports()),
         ("game-solutions", game_solutions()),
         ("game-stacks", game_stacks()),
+        ("game-stacks-2x2", two_by_two_stacks()),
     ):
         print(f"{name} {digest.hash.hexdigest()} {digest.count}")
     files = {workers: experiment_files(workers) for workers in (1, 2)}
