@@ -26,7 +26,6 @@ from .formats import (
     FORMAT_VERSION,
     _decode,
     _matching_record,
-    _reals,
     _whole,
     read_preferences,
     write_instance,
@@ -76,7 +75,7 @@ _SETTINGS = {
 
 
 def _load_config_file(path) -> dict:
-    document = _decode(Path(path).read_text(), path)
+    document = _decode(Path(path).read_bytes(), path)
     if not isinstance(document, dict):
         raise InputError(f"{path}: config must be a JSON object")
     unknown = set(document) - set(_SETTINGS)
@@ -130,12 +129,8 @@ def _cmd_solve_game(args) -> int:
     if args.matrix is not None:
         payload = _decode(args.matrix, "--matrix")
     else:
-        payload = _decode(Path(args.file).read_text(), args.file)
-    try:
-        matrix = _reals(payload, "the matrix")
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"payoff matrix is not numeric: {exc}") from exc
-    solution = solve_game(matrix)
+        payload = _decode(Path(args.file).read_bytes(), args.file)
+    solution = solve_game(payload)
     _print(
         {
             "format": "game-solution",

@@ -1,7 +1,12 @@
-"""Exception types shared across the package, and the number checks that raise one."""
+"""Exception types shared across the package, and the number checks that raise one:
+check_integer, check_real and check_reals, the one rule for reading numbers."""
 
 import math
 import numbers
+
+import numpy as np
+
+_FLOAT = np.dtype(float)
 
 
 class InputError(ValueError):
@@ -63,3 +68,38 @@ def check_real(name: str, value) -> float:
     if not math.isfinite(number):
         raise InputError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def _holds_bool(value) -> bool:
+    """Whether a bool sits in value: a number, or lists, tuples and bool or object arrays nested to any depth."""
+    level = [value]
+    while level and {bool, np.bool_}.isdisjoint(kinds := set(map(type, level))):
+        if np.ndarray in kinds:  # a bool or object array is searched as a list
+            level += [item.ravel().tolist() for item in level if type(item) is np.ndarray and item.dtype.kind in "bO"]
+        level = [item for items in level if type(items) in (list, tuple) for item in items]
+    return bool(level)
+
+
+def check_reals(name: str, value) -> np.ndarray:
+    """value as a float array, or an InputError naming the field. A float64 array is
+    returned as it is; anything else is converted once, Python ints beyond int64
+    item by item. A bool, a string, null, an object, a complex number or a number
+    beyond the float range is refused, not read as 1.0 or 0.0, parsed or kept.
+    Shape and finiteness are the caller's to check."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT:  # the form the round's hot callers pass
+        return value
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a regular array of real numbers: {exc}") from None
+    if array.dtype.kind == "O" and {type(item) for item in array.flat} <= {int, float}:
+        try:  # an integer beyond int64 leaves numpy holding Python ints
+            array = array.astype(float)
+        except OverflowError:
+            raise InputError(f"{name} holds a number beyond the float range") from None
+    numeric = array.dtype.kind in "iuf"
+    if (not numeric or ((array == 1.0) | (array == 0.0)).any()) and _holds_bool(value):
+        raise InputError(f"{name} must hold real numbers, not bools (so not true or false)")
+    if not numeric:
+        raise InputError(f"{name} must hold real numbers, not strings, null, objects or complex numbers")
+    return array.astype(float, copy=False)

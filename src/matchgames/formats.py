@@ -2,8 +2,10 @@
 
 Every document carries "format" and "version" fields. Floats are written
 with Python's shortest round-trip repr, so read(write(x)) is lossless at
-full double precision. Parse failures raise FormatError with the offending
-path and field; I/O failures propagate as OSError.
+full double precision. Numbers are read by errors.check_reals, as the
+constructors read them. Parse failures, bytes that are not UTF-8 included,
+raise FormatError with the offending path and field; I/O failures propagate
+as OSError.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_reals
 from .instability import InstabilityReport
-from .market import AgentId, Generator, MarketInstance, Matching, PreferenceProfile, Side, _holds_bool
+from .market import AgentId, Generator, MarketInstance, Matching, PreferenceProfile, Side
 
 FORMAT_VERSION = 1
 INSTANCE_FORMAT = "market-instance"
@@ -28,8 +28,8 @@ def _dump(document: dict, path) -> None:
     Path(path).write_text(json.dumps(document, indent=2) + "\n")
 
 
-def _decode(text: str, where):
-    """text parsed as JSON; bad syntax, a repeated key or deep nesting is a FormatError naming where."""
+def _decode(text: str | bytes, where):
+    """text or UTF-8 bytes as JSON; bad bytes or syntax, a repeated key or deep nesting: a FormatError naming where."""
 
     def unique(pairs: list) -> dict:
         document = dict(pairs)
@@ -39,7 +39,9 @@ def _decode(text: str, where):
         return document
 
     try:
-        return json.loads(text, object_pairs_hook=unique)
+        return json.loads(text if isinstance(text, str) else text.decode(), object_pairs_hook=unique)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{where}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:  # the decoder recurses once per nested array or object
@@ -47,7 +49,7 @@ def _decode(text: str, where):
 
 
 def _load(path, expected_format: str) -> dict:
-    document = _decode(Path(path).read_text(), path)
+    document = _decode(Path(path).read_bytes(), path)
     if not isinstance(document, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     if document.get("format") != expected_format:
@@ -74,25 +76,6 @@ def _whole(value) -> int:
     if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
-
-
-def _reals(value, label: str, vector: bool = False) -> np.ndarray:
-    """value as a float array, a flat one if vector. Only JSON numbers are read: a
-    string is refused rather than parsed, and true or false rather than held as 1.0 or 0.0."""
-    array = np.asarray(value)
-    if array.dtype.kind == "O" and {type(item) for item in array.flat} <= {int, float}:
-        try:  # an integer beyond int64 leaves numpy holding Python ints
-            array = array.astype(float)
-        except OverflowError:
-            raise ValueError(f"{label} holds a number beyond the float range") from None
-    numeric = array.dtype.kind in "iuf"
-    if (not numeric or ((array == 1.0) | (array == 0.0)).any()) and _holds_bool(value):
-        raise ValueError(f"{label} must hold numbers, not true or false")
-    if not numeric:
-        raise ValueError(f"{label} must hold numbers, not strings, null or objects")
-    if vector and array.ndim != 1:
-        raise ValueError(f"{label} must be a flat list of numbers")
-    return array.astype(float, copy=False)
 
 
 def _whole_field(document: dict, path, name: str) -> int:
@@ -140,21 +123,18 @@ def read_instance(path) -> MarketInstance:
             generator = Generator(generator_name)
         except ValueError:
             raise FormatError(f"{path}: unknown generator {generator_name!r}") from None
+    p, a, m, k = (_whole_field(document, path, name) for name in "pamk")
+    games, left, right = _field(document, path, "games"), _field(outside, path, "left"), _field(outside, path, "right")
     try:
         return MarketInstance(
-            p=_whole_field(document, path, "p"),
-            a=_whole_field(document, path, "a"),
-            m=_whole_field(document, path, "m"),
-            k=_whole_field(document, path, "k"),
-            games=_reals(_field(document, path, "games"), "field 'games'"),
-            left_outside=_reals(_field(outside, path, "left"), "field 'outside_options.left'"),
-            right_outside=_reals(_field(outside, path, "right"), "field 'outside_options.right'"),
+            p=p, a=a, m=m, k=k,
+            games=check_reals("field 'games'", games),
+            left_outside=check_reals("field 'outside_options.left'", left),
+            right_outside=check_reals("field 'outside_options.right'", right),
             generator=generator,
             seed=seed,
         )
-    except (InputError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -183,7 +163,7 @@ def write_strategy_profile(strategies: dict, path) -> None:
     sides: dict = {"left": {}, "right": {}}
     for agent, vec in strategies.items():
         side = sides["left" if agent.side is Side.LEFT else "right"]
-        side[str(agent.index)] = np.asarray(vec, dtype=float).tolist()
+        side[str(agent.index)] = check_reals(f"strategy for {agent}", vec).tolist()
     _dump({"format": STRATEGY_FORMAT, "version": FORMAT_VERSION, **sides}, path)
 
 
@@ -201,7 +181,9 @@ def read_strategy_profile(path) -> dict:
                     # "01", "+1" or " 1" would alias (and overwrite) agent 1
                     raise ValueError("the key must be a plain decimal index")
                 agent = make(index)
-                out[agent] = _reals(vec, "the strategy", vector=True)
+                out[agent] = check_reals("the strategy", vec)
+                if out[agent].ndim != 1:
+                    raise ValueError("the strategy must be a flat list of numbers")
             except (InputError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad strategy for {side_name} agent {key!r}: {exc}") from exc
     return out

@@ -25,7 +25,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DimensionError, InputError, SolverError
+from .errors import DimensionError, InputError, SolverError, check_reals
 from .linprog import solve_lp
 
 ORACLE_MAX_SIDE = 5
@@ -33,27 +33,19 @@ _ORACLE_TOL = 1e-9
 _STRATEGY_SUM_TOL = 1e-9
 
 
-def _as_games(game) -> np.ndarray:
-    """game, one game or a stack of shape (..., m, k), as finite floats with m, k >= 1."""
-    A = np.asarray(game, dtype=float)
-    if A.ndim < 2 or A.shape[-2] < 1 or A.shape[-1] < 1:
+def _as_games(game, stack: bool = True) -> np.ndarray:
+    """game as finite floats with m, k >= 1: one game of shape (m, k), or if stack a stack of shape (..., m, k)."""
+    A = check_reals("payoff matrix", game)
+    if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-2] < 1 or A.shape[-1] < 1:
         raise DimensionError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
     if np.count_nonzero(np.isfinite(A)) < A.size:
         raise InputError("payoff matrix contains non-finite entries")
     return A
 
 
-def as_payoff_matrix(game) -> np.ndarray:
-    """Validate and return game as a float matrix (copy only when needed)."""
-    A = np.asarray(game, dtype=float)
-    if A.ndim > 2:
-        raise DimensionError(f"payoff matrix must be 2-d and nonempty, got shape {A.shape}")
-    return _as_games(A)
-
-
 def check_strategy(strategy, n_actions: int) -> np.ndarray:
     """Validate a mixed strategy over n_actions pure actions."""
-    x = np.asarray(strategy, dtype=float)
+    x = check_reals("strategy", strategy)
     if x.shape != (n_actions,):
         raise DimensionError(f"strategy has shape {x.shape}, expected ({n_actions},)")
     # on Python floats, which is much cheaper than numpy calls on tiny arrays;
@@ -159,7 +151,7 @@ def solve_game(game) -> GameSolution:
     The column strategy comes from the mirrored game -A^T, where the column
     player is the maximizing row player.
     """
-    A = as_payoff_matrix(game)
+    A = _as_games(game, stack=False)
     value, x = maximin(A)
     _, y = maximin(-A.T)
     return GameSolution(value=value, row_strategy=x, column_strategy=y)
@@ -170,7 +162,7 @@ def best_response(game, opponent_strategy) -> np.ndarray:
 
     Ties break toward the lowest action index; the result is one-hot.
     """
-    A = as_payoff_matrix(game)
+    A = _as_games(game, stack=False)
     y = check_strategy(opponent_strategy, A.shape[1])
     response = np.zeros(A.shape[0])
     response[int(np.argmax(A @ y))] = 1.0
@@ -185,7 +177,7 @@ def oracle_solve_game(game) -> GameSolution:
     the full matrix. Every matrix game has at least one such square kernel.
     Refuses games larger than ORACLE_MAX_SIDE per side.
     """
-    A = as_payoff_matrix(game)
+    A = _as_games(game, stack=False)
     m, k = A.shape
     if m > ORACLE_MAX_SIDE or k > ORACLE_MAX_SIDE:
         raise InputError(f"oracle accepts at most {ORACLE_MAX_SIDE} actions per side, got {m}x{k}")

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, InputError, check_integer, check_real
+from .errors import DimensionError, InputError, check_integer, check_real, check_reals
 from .games import maximin
 
 
@@ -35,6 +35,10 @@ class AgentId:
     index: int
 
     def __post_init__(self):
+        if type(self.side) is not Side:  # 0 and 1 read as their sides; a bool or anything else is refused
+            if check_integer("agent side", self.side) not in (0, 1):
+                raise InputError(f"agent side must be 0 (left) or 1 (right), got {self.side!r}")
+            object.__setattr__(self, "side", Side(self.side))
         object.__setattr__(self, "index", check_integer("agent index", self.index, 0))
         object.__setattr__(self, "_hash", hash((self.side, self.index)))  # the dataclass hash, once
 
@@ -83,7 +87,8 @@ class MarketInstance:
             object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         if self.seed is not None:
             object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
-        games, lo, ro = (_float_array(name, getattr(self, name)) for name in ("games", "left_outside", "right_outside"))
+        names = ("games", "left_outside", "right_outside")
+        games, lo, ro = (check_reals(name, getattr(self, name)).copy() for name in names)
         lo, ro = np.atleast_1d(lo, ro)
         if games.shape != (self.p, self.a, self.m, self.k):
             raise DimensionError(
@@ -117,24 +122,6 @@ class MarketInstance:
 def _agents(p: int, a: int) -> tuple[AgentId, ...]:
     """The AgentIds by number: left agents 0..p-1, then right agents 0..a-1."""
     return (*map(AgentId.left, range(p)), *map(AgentId.right, range(a)))
-
-
-def _holds_bool(value) -> bool:
-    """Whether a bool sits in value, a number or nested lists and tuples (a JSON true or false, say)."""
-    level = [value]
-    while level and {bool, np.bool_}.isdisjoint(map(type, level)):
-        level = [item for items in level if type(items) in (list, tuple) for item in items]
-    return bool(level)
-
-
-def _float_array(name: str, value, copy: bool | None = True) -> np.ndarray:
-    """value as a float array, copied unless copy is None, or an InputError naming the field; a bool is refused."""
-    if value.dtype.kind == "b" if isinstance(value, np.ndarray) else _holds_bool(value):
-        raise InputError(f"{name} must hold real numbers, not bools")
-    try:
-        return np.array(value, dtype=float, copy=copy)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} must hold real numbers: {exc}") from None
 
 
 def _unchecked(cls, **values):
@@ -224,7 +211,7 @@ class UtilityTable:
     right_outside: np.ndarray
 
     def __post_init__(self):
-        lv, rv, lo, ro = (_float_array(field.name, getattr(self, field.name), None) for field in fields(self))
+        lv, rv, lo, ro = (check_reals(field.name, getattr(self, field.name)) for field in fields(self))
         (lv, rv), (lo, ro) = np.atleast_2d(lv, rv), np.atleast_1d(lo, ro)
         p, a = lv.shape[0], lv.shape[-1]
         if lv.ndim != 2 or rv.shape != (a, p) or lo.shape != (p,) or ro.shape != (a,):

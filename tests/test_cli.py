@@ -305,6 +305,21 @@ def test_audit_malformed_file_is_input_error(audit_files, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["instance", "matching", "strategies", "file", "config"])
+def test_a_file_that_is_not_utf8_is_input_error_naming_it(audit_files, tmp_path, capsys, command):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")  # a byte-order mark, then UTF-16 text
+    if command in ("file", "config"):
+        argv = ["solve-game", "--file", str(bad)] if command == "file" else ["simulate", "--config", str(bad)]
+    else:
+        paths = dict(zip(("instance", "matching", "strategies"), audit_files), **{command: str(bad)})
+        argv = ["audit", *(f"--{name}={path}" for name, path in paths.items())]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 0\n"
+
+
 def test_audit_nan_strategy_is_input_error(audit_files, tmp_path, capsys):
     instance_path, matching_path, _ = audit_files
     profile = build_example_profile()

@@ -1,6 +1,7 @@
 """Market structures: preferences, deferred acceptance, stability, generation."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,26 @@ def test_agent_id_constructors_equal_the_plain_ids(index):
     # the dataclass's own formula, so no set or dict of ids changes its order
     assert hash(AgentId.right(index)) == hash((Side.RIGHT, index))
     assert AgentId.left(index) != AgentId.right(index)
+
+
+@pytest.mark.parametrize("side", [0, 1, np.int64(1)], ids=["0", "1", "numpy-1"])
+def test_agent_id_reads_an_integer_side_as_its_side(side):
+    agent = AgentId(side, 2)
+    assert agent == (AgentId.left(2) if side == 0 else AgentId.right(2))
+    assert type(agent.side) is Side and hash(agent) == hash(AgentId(Side(int(side)), 2))
+    assert {agent: "x"}[AgentId(Side(int(side)), 2)] == "x"
+
+
+@pytest.mark.parametrize(
+    ("side", "message"),
+    [(5, "must be 0 (left) or 1 (right), got 5"), (-1, "must be 0 (left) or 1 (right)"),
+     ("L", "must be an integer, got 'L'"), (None, "must be an integer, got None"), (True, "must be an integer, got True"),
+     (False, "must be an integer"), (np.True_, "must be an integer"), (1.0, "must be an integer, got 1.0")],
+    ids=["5", "-1", "string", "None", "True", "False", "numpy-True", "float"],
+)
+def test_agent_id_refuses_a_side_that_is_not_left_or_right(side, message):
+    with pytest.raises(InputError, match=r"^agent side " + re.escape(message)):
+        AgentId(side, 0)
 
 
 def _preferences_by_definition(values, outside) -> tuple:
@@ -382,6 +403,8 @@ def test_constructors_refuse_rather_than_truncate(build, field):
          InputError, "right must hold real numbers, not bools"),
         (lambda: UtilityTable(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), np.zeros(1, dtype=bool)),
          InputError, "right_outside must hold real numbers, not bools"),
+        (lambda: UtilityTable([np.array([True])], [[0.0]], [0.0], [0.0]), InputError,
+         "left must hold real numbers, not bools"),
         (lambda: preferences_from_values(np.zeros((2, 2)), np.zeros((2, 2)), (0.0, False), np.zeros(2)),
          InputError, "left_outside must hold real numbers, not bools"),
     ],
@@ -389,7 +412,7 @@ def test_constructors_refuse_rather_than_truncate(build, field):
         "table-3d", "preferences-3d", "table-string", "matching-triple", "matching-flat", "profile-flat",
         "instance-string-game", "instance-string-outside", "instance-bool-game", "instance-bool-outside",
         "instance-bool-array", "instance-numpy-bool", "table-bool", "table-numpy-bool-in-tuple",
-        "table-bool-array", "preferences-bool-outside",
+        "table-bool-array", "table-bool-array-in-a-list", "preferences-bool-outside",
     ],
 )
 def test_constructors_refuse_malformed_input_with_a_typed_error(build, error, message):

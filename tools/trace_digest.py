@@ -7,8 +7,9 @@ bytes; every scalar with its type and repr), every instability report
 active pairs at 16x16 to 30x30, and tenths-valued audits whose cuts
 rounding residue can decide among them), every game
 solution, maximin on stacks either side of its single/stacked
-crossover and on 2x2 stacks tied at the 2x2 closed form's boundaries, and
-the files run_experiment writes at workers 1 and 2.
+crossover and on 2x2 stacks tied at the 2x2 closed form's boundaries, every
+array the document readers read from a fixed corpus of JSON files, and the
+files run_experiment writes at workers 1 and 2.
 
     python3 tools/trace_digest.py [SRC]
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +41,7 @@ sys.path.insert(0, str(SRC.resolve()))
 import numpy as np  # noqa: E402
 
 from matchgames.experiments import ExperimentConfig, run_experiment  # noqa: E402
+from matchgames.formats import read_instance, read_matching, read_strategy_profile  # noqa: E402
 from matchgames.games import maximin, solve_game  # noqa: E402
 from matchgames.instability import matching_instability, subset_instability  # noqa: E402
 from matchgames.learning import Policy, run_episode  # noqa: E402
@@ -245,6 +248,62 @@ def two_by_two_stacks() -> Digest:
     return digest
 
 
+def _nested(flat: list, shape: tuple) -> list:
+    """flat as nested lists of the given shape, its entries kept as they are."""
+    for size in reversed(shape[1:]):
+        flat = [flat[start : start + size] for start in range(0, len(flat), size)]
+    return flat
+
+
+def documents() -> Digest:
+    """read_instance, read_matching and read_strategy_profile on JSON documents
+    written entry by entry: Gaussian floats, integer values written as JSON
+    ints (and indices as 2.0), 2**70 and -(2**64), -0.0 and subnormals, so
+    the number rule's every dtype and bit shows in the arrays read."""
+    digest = Digest()
+    rng = np.random.default_rng(20261028)
+    special = (2**70, -(2**64), -0.0, 5e-324, -2.5e-310, 1, 0, 0.0, 1.0)
+
+    def entries(kind: int, *shape: int) -> list:
+        size = int(np.prod(shape))
+        if kind == 0:
+            flat = rng.standard_normal(size).tolist()
+        elif kind == 1:
+            flat = rng.integers(-3, 4, size=size).tolist()
+        else:  # a Gaussian or integer entry, or one of special's, by turns
+            flat = [
+                special[int(rng.integers(len(special)))] if draw < 0.4 else round(value) if draw < 0.6 else value
+                for draw, value in zip(rng.random(size).tolist(), rng.standard_normal(size).tolist())
+            ]
+        return _nested(flat, shape)
+
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "document.json"
+        for case in range(90):
+            kind = case % 3
+            p, a, m, k = (int(n) for n in rng.integers(1, 4, size=4))
+            instance = {
+                "format": "market-instance", "version": 1, "p": p, "a": a, "m": m, "k": k,
+                "games": entries(kind, p, a, m, k),
+                "outside_options": {"left": entries(kind, p), "right": entries(kind, a)},
+                "generator": [None, "gaussian-unit", "uniform-signed"][kind], "seed": [None, case, 2**70][kind],
+            }
+            matching = random_matching(rng, p, a)
+            pairs = [[i, float(j) if kind == 1 else j] for i, j in matching.pairs]
+            sides = {"left": {}, "right": {}}
+            for i, j in matching.pairs:
+                sides["left"][str(i)] = entries(kind, m)
+                sides["right"][str(j)] = entries(kind, k)
+            for reader, document in (
+                (read_instance, instance),
+                (read_matching, {"format": "matching", "version": 1, "pairs": pairs}),
+                (read_strategy_profile, {"format": "strategy-profile", "version": 1, **sides}),
+            ):
+                path.write_text(json.dumps(document))
+                digest.add(reader(path))
+    return digest
+
+
 def experiment_files(workers: int) -> str:
     """One sha256 over the names and bytes of every file run_experiment writes."""
     digest = hashlib.sha256()
@@ -274,6 +333,7 @@ def main() -> int:
         ("game-solutions", game_solutions()),
         ("game-stacks", game_stacks()),
         ("game-stacks-2x2", two_by_two_stacks()),
+        ("documents", documents()),
     ):
         print(f"{name} {digest.hash.hexdigest()} {digest.count}")
     files = {workers: experiment_files(workers) for workers in (1, 2)}
