@@ -52,6 +52,14 @@ def check_sizes(**sizes) -> list[int]:
     return checked
 
 
+def check_market_sizes(p, a, m, k) -> list[int]:
+    """p, a, m and k by check_sizes, refused if p·a·m·k float64 entries pass numpy's byte limit."""
+    sizes = check_sizes(p=p, a=a, m=m, k=k)
+    if math.prod(sizes) * _FLOAT.itemsize > np.iinfo(np.intp).max:
+        raise InputError("p, a, m and k are too large: p·a·m·k float64 entries exceed numpy's largest array")
+    return sizes
+
+
 def check_real(name: str, value) -> float:
     """value as a finite float, or an InputError naming the field.
 
@@ -82,18 +90,18 @@ def _holds_bool(value) -> bool:
 
 def check_reals(name: str, value) -> np.ndarray:
     """value as a float array, or an InputError naming the field. A float64 array is
-    returned as it is; anything else is converted once, Python ints beyond int64
-    item by item. A bool, a string, null, an object, a complex number or a number
-    beyond the float range is refused, not read as 1.0 or 0.0, parsed or kept.
-    Shape and finiteness are the caller's to check."""
+    returned as it is; anything else is converted once, Python ints beyond int64 (and
+    the Python or numpy reals beside them) item by item. A bool, a string, null, an
+    object, a complex number or a number beyond the float range is refused, not read
+    as 1.0 or 0.0, parsed or kept. Shape and finiteness are the caller's to check."""
     if type(value) is np.ndarray and value.dtype is _FLOAT:  # the form the round's hot callers pass
         return value
     try:
         array = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} must be a regular array of real numbers: {exc}") from None
-    if array.dtype.kind == "O" and {type(item) for item in array.flat} <= {int, float}:
-        try:  # an integer beyond int64 leaves numpy holding Python ints
+    if array.dtype.kind == "O" and all(isinstance(item, (int, float, np.integer, np.floating)) for item in array.flat):
+        try:  # an integer beyond int64 leaves numpy holding Python ints, and any numbers beside them
             array = array.astype(float)
         except OverflowError:
             raise InputError(f"{name} holds a number beyond the float range") from None

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_integer, check_real, check_sizes
+from .errors import FormatError, InputError, check_integer, check_market_sizes, check_real, check_sizes
 from .formats import read_instance, read_matching, read_strategy_profile
 from .instability import InstabilityReport, matching_instability
 from .learning import Policy, run_episode
@@ -65,6 +65,7 @@ class ExperimentConfig:
         for name in ("p", "a", "m", "k", "T", "runs", "seeds_base"):
             minimum = 0 if name == "seeds_base" else 1
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        check_market_sizes(self.p, self.a, self.m, self.k)
         if self.workers is not None:
             object.__setattr__(self, "workers", check_integer("workers", self.workers, 1))
         # and the real-valued fields, stored as floats so config.json echoes numbers

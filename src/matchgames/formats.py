@@ -2,10 +2,11 @@
 
 Every document carries "format" and "version" fields. Floats are written
 with Python's shortest round-trip repr, so read(write(x)) is lossless at
-full double precision. Numbers are read by errors.check_reals, as the
-constructors read them. Parse failures, bytes that are not UTF-8 included,
-raise FormatError with the offending path and field; I/O failures propagate
-as OSError.
+full double precision. Reals are read by errors.check_reals, as the
+constructors read them; a size, an index or the seed may be written 1.0, as
+JSON has one number type (the constructors refuse the float 1.0). Parse
+failures, bytes that are not UTF-8 included, raise FormatError with the
+offending path and field; I/O failures propagate as OSError.
 """
 
 from __future__ import annotations

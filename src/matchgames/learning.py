@@ -19,10 +19,10 @@ Every random draw of an episode comes from one of three streams per pair
 (i, j): purpose 0 draws the left agent's action, 1 the right agent's, and 2
 the reward noise. The traces rest on this contract: stream (purpose, i, j)
 is numpy's default_rng(SeedSequence(entropy=seed, spawn_key=(purpose, i,
-j))). The episode mixes the seed once and the key words of every stream as
-arrays into one seed table (_seed_table), which reproduces SeedSequence's
-state words word for word; a stream is built from its row the first time
-the pair is matched.
+j))). numpy hashes the seed once, into SeedSequence(seed).pool; the episode
+mixes every stream's key words into that pool as arrays, one seed table
+(_seed_table) that reproduces SeedSequence's state words word for word. A
+stream is built from its row the first time the pair is matched.
 
 Each matched agent draws its action from its stream by numpy's
 Generator.choice rule on Python floats: cumulative sums of the kernel's
@@ -42,7 +42,7 @@ from functools import cache
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DimensionError, InputError, check_integer, check_real, check_sizes
+from .errors import DimensionError, InputError, check_integer, check_market_sizes, check_real, check_sizes
 from .games import best_response, maximin
 from .instability import matching_instability
 from .market import (
@@ -79,7 +79,7 @@ class ConfidenceState:
 
     @classmethod
     def fresh(cls, p: int, a: int, m: int, k: int, delta: float) -> ConfidenceState:
-        shape = tuple(check_sizes(p=p, a=a, m=m, k=k))
+        shape = tuple(check_market_sizes(p, a, m, k))
         delta = check_real("delta", delta)
         if not (0.0 < delta < 1.0):
             raise InputError(f"delta must lie strictly inside (0, 1), got {delta!r}")
@@ -185,9 +185,9 @@ _STATE_CHAIN = np.array(_chain(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
 
 
 def _hash(value, before, after):
-    """SeedSequence's hashmix (and its generate_state step) of value, given
-    the hash constant before and after it; on Python ints below 2**32 or on
-    uint32 arrays, which wrap as the C code does."""
+    """SeedSequence's hashmix (and its generate_state step) of uint32 array
+    value, given the hash constant before and after it; it wraps as the C
+    code does."""
     value = (value ^ before) * after & _MASK32
     return value ^ value >> 16
 
@@ -204,28 +204,16 @@ def _seed_table(seed: int, p: int, a: int) -> np.ndarray:
 
     The entropy is the seed's little-endian 32-bit words, padded with zeros
     to the pool size, then the key's three words. Every stream shares the
-    seed's words, so they are mixed once on Python ints (the pool's first
-    words, then every pool word into every other, then any words past the
-    fourth). Each key word then mixes into every pool word as a broadcast
-    uint32 array, purpose (3, 1, 1), i (p, 1) and j (a,), with the pool on
-    the last axis. The state's 8 words hash the pool twice over and are read
-    as little-endian uint64, as generate_state does.
+    seed's words, so numpy hashes them once, 4 hashes a word, into
+    SeedSequence(seed).pool. Each key word then mixes into every pool word as
+    a broadcast uint32 array, purpose (3, 1, 1), i (p, 1) and j (a,), with
+    the pool on the last axis. The state's 8 words hash the pool twice over
+    and are read as little-endian uint64, as generate_state does.
     """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    # 4 hashes a seed word (its own, or the pool's cross-mix) and 4 a key word
-    chain = _chain(_INIT_A, _MULT_A, _POOL * (len(words) + 3))
-    hashes = zip(chain, chain[1:])
-    pool = [_hash(word, *next(hashes)) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(hashes)))
-    pool = np.array(pool, dtype=np.uint32)
-    for n, shape in enumerate([(3, 1, 1, 1), (p, 1, 1), (a, 1)], start=len(words)):
+    pool = np.random.SeedSequence(seed).pool
+    hashes = _POOL * max(-(-seed.bit_length() // 32), _POOL)  # 4 a seed word, padded to the pool
+    chain = _chain(_INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32, _MULT_A, 3 * _POOL)
+    for n, shape in enumerate([(3, 1, 1, 1), (p, 1, 1), (a, 1)]):
         key = np.arange(shape[0], dtype=np.uint32).reshape(shape)
         step = np.array(chain[_POOL * n : _POOL * (n + 1) + 1], dtype=np.uint32)
         pool = _mix(pool, _hash(key, step[:-1], step[1:]))

@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, InputError, check_integer, check_real, check_reals
+from .errors import DimensionError, InputError, check_integer, check_market_sizes, check_real, check_reals
 from .games import maximin
 
 
@@ -324,7 +324,7 @@ def generate_instance(
     UNIFORM_SIGNED draws uniformly from [-1, 1]. All agents share the given
     outside option value.
     """
-    p, a, m, k = (check_integer(name, value, 1) for name, value in zip("pamk", (p, a, m, k)))
+    p, a, m, k = check_market_sizes(p, a, m, k)
     seed = check_integer("seed", seed, 0)
     outside_option = check_real("outside_option", outside_option)
     rng = np.random.default_rng(seed)

@@ -479,6 +479,20 @@ def test_gen_instance_negative_seed_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# sizes numpy refuses before it allocates anything
+@pytest.mark.parametrize("sizes", [(10**30, 1, 1, 1), (2**16,) * 4], ids=["one-huge", "four-large"])
+@pytest.mark.parametrize(
+    "command", [["simulate", "--T", "1", "--runs", "1", "--workers", "1", "--output-dir"], ["gen-instance", "--output"]],
+    ids=["simulate", "gen-instance"],
+)
+def test_market_too_large_for_numpy_is_input_error_and_writes_nothing(tmp_path, capsys, command, sizes):
+    out = tmp_path / "results"
+    flags = [arg for name, size in zip("pamk", sizes) for arg in (f"--{name}", str(size))]
+    assert main([command[0], *flags, *command[1:], str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: p, a, m and k are too large")
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_delta(tmp_path, capsys):
     argv = [
         "simulate", "--p", "1", "--a", "1", "--m", "1", "--k", "1",

@@ -303,6 +303,22 @@ def test_config_refuses_non_real_values(field, bad, rule):
         ExperimentConfig(p=1, a=1, m=1, k=1, T=2, **{field: bad})
 
 
+# sizes numpy refuses before it allocates anything: too many entries for its
+# index type, or too many bytes
+OVERSIZED = {"one-huge": (10**30, 1, 1, 1), "four-large": (2**16,) * 4}
+
+
+@pytest.mark.parametrize("sizes", OVERSIZED.values(), ids=OVERSIZED)
+@pytest.mark.parametrize(
+    "build",
+    [lambda p, a, m, k: generate_instance(p, a, m, k), lambda p, a, m, k: ExperimentConfig(p=p, a=a, m=m, k=k, T=1)],
+    ids=["generate_instance", "ExperimentConfig"],
+)
+def test_a_market_too_large_for_numpy_is_an_input_error_naming_its_sizes(build, sizes):
+    with pytest.raises(InputError, match="^p, a, m and k are too large"):
+        build(*sizes)
+
+
 def test_config_stores_real_fields_as_floats():
     config = ExperimentConfig(p=1, a=1, m=1, k=1, T=2, outside_option=-2, noise_scale=np.float32(0.5),
                               delta=np.float64(0.25))

@@ -49,6 +49,9 @@ def test_auto_delta_sizes_follow_the_integer_rule(sizes, message):
         ((-1, 1, 1, 1), "^p must be at least 1"),
         ((1, 0, 1, 1), "^a must be at least 1"),
         ((1, 1, 1, True), "^k must be an integer"),
+        # numpy refuses these before it allocates anything
+        ((10**30, 1, 1, 1), "^p, a, m and k are too large"),
+        ((2**16,) * 4, "^p, a, m and k are too large"),
     ],
 )
 def test_fresh_state_sizes_follow_the_integer_rule(sizes, message):
@@ -339,8 +342,9 @@ def test_draw_matches_generator_choice():
         assert ours.random() == reference.random()
 
 
-# one-word seeds at the word edges, and seeds of two to seven 32-bit words
-EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**128 + 11, 2**200 + 1)
+# one-word seeds at the word edges, seeds of two to seven 32-bit words, and
+# seeds of exactly the pool's four words and of eight
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**128 + 11, 2**200 + 1, 2**128 - 1, 2**256 - 1)
 
 
 def test_seed_table_matches_seed_sequence():
@@ -354,7 +358,7 @@ def test_seed_table_matches_seed_sequence():
             assert table[purpose, i, j].tobytes() == expected.tobytes(), (seed, purpose, i, j)
 
 
-@pytest.mark.parametrize("seed", [2**64 + 1, 2**130])
+@pytest.mark.parametrize("seed", [2**64 + 1, 2**130, 2**128 - 1])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_episode_streams_are_seed_sequence_streams(monkeypatch, policy, seed):
     instance = generate_instance(3, 4, 2, 3, generator=Generator.UNIFORM_SIGNED, seed=5)

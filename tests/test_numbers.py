@@ -99,9 +99,10 @@ def test_solve_game_command_refuses_what_is_not_a_real_number(capsys, bad):
 @pytest.mark.parametrize(
     "value",
     [np.array([0.25, 0.75]), [0.25, 0.75], (1, 0), [2**70, -(2**64)], np.array([1, 0], dtype=np.int32),
-     np.array([0.5], dtype=np.float32), np.array([2**70, 0.5], dtype=object), -0.0, 5e-324, []],
+     np.array([0.5], dtype=np.float32), np.array([2**70, 0.5], dtype=object), -0.0, 5e-324, [],
+     [2**70, np.float64(0.5)], [2**70, np.int64(3)], [2**70, np.float32(0.5)]],
     ids=["float64", "list", "int-tuple", "beyond-int64", "int32", "float32", "object", "negative-zero", "subnormal",
-         "empty"],
+         "empty", "beyond-int64-numpy-float64", "beyond-int64-numpy-int64", "beyond-int64-numpy-float32"],
 )
 def test_check_reals_reads_numbers_as_float64_to_the_bit(value):
     array = check_reals("x", value)
@@ -118,8 +119,9 @@ def test_check_reals_returns_a_float64_array_as_it_is():
     ("value", "reason"),
     [(np.array([True, False]), "not bools"), ([[0.5], np.array([False])], "not bools"),
      (np.array([0.5, True], dtype=object), "not bools"), ([1j], "complex"), ({"a": 1.0}, "objects"),
-     ([[1.0], [2.0, 3.0]], "regular array")],
-    ids=["bool-array", "nested-bool-array", "object-array-bool", "complex", "object", "ragged"],
+     ([[1.0], [2.0, 3.0]], "regular array"), ([2**70, np.True_], "not bools")],
+    ids=["bool-array", "nested-bool-array", "object-array-bool", "complex", "object", "ragged",
+         "beyond-int64-numpy-bool"],
 )
 def test_check_reals_refuses_with_an_input_error_naming_the_field(value, reason):
     with pytest.raises(InputError, match=f"^the field .*{reason}"):

@@ -2,7 +2,8 @@
 
 Two checkouts whose digests agree produce the same traces to the last byte:
 every compared field of every StepRecord (strategies by dtype, shape and
-bytes; every scalar with its type and repr), every instability report
+bytes; every scalar with its type and repr), seeds of one to eight 32-bit
+words included, every instability report
 (audit-dense's 6x6 to 8x8 markets of 3x3 games, covers of hundreds of
 active pairs at 16x16 to 30x30, and tenths-valued audits whose cuts
 rounding residue can decide among them), every game
@@ -69,6 +70,11 @@ EPISODE_SHAPES = (
 # 2**64 + 1 spans three 32-bit words, so the random streams' seed mixing is
 # checked past a one-word seed
 SEEDS = (1, 2, 2**64 + 1)
+# seeds of exactly the pool's four words, of five and of eight: the seed's
+# words fill numpy's pool, or run past it; a line of their own, so the
+# step-records line stays as it was
+BIG_SEEDS = (2**128 - 1, 2**128 + 11, 2**256 - 1)
+BIG_SEED_SHAPES = ((2, 2, 2, 2, 30), (3, 4, 2, 3, 20))
 AUDIT_TOLS = (0.0, 1e-9, 0.05)
 
 
@@ -103,6 +109,16 @@ def episode_records() -> Digest:
         instance = generate_instance(p, a, m, k, generator=generator, seed=seed)
         for policy, side in itertools.product(Policy, Side):
             for record in run_episode(instance, policy, T, seed=seed, proposing_side=side):
+                digest.add(record)
+    return digest
+
+
+def big_seed_records() -> Digest:
+    digest = Digest()
+    for (p, a, m, k, T), seed in itertools.product(BIG_SEED_SHAPES, BIG_SEEDS):
+        instance = generate_instance(p, a, m, k, seed=seed)
+        for policy in Policy:
+            for record in run_episode(instance, policy, T, seed=seed):
                 digest.add(record)
     return digest
 
@@ -326,6 +342,7 @@ def main() -> int:
     print(f"matchgames imported from {Path(matchgames.__file__).parent}", file=sys.stderr)
     for name, digest in (
         ("step-records", episode_records()),
+        ("big-seed-records", big_seed_records()),
         ("audit-reports", audit_reports()),
         ("dense-audit-reports", market_audit_reports(20261020, (6, 7, 8), (0, 4, 2), 3)),
         ("wide-audit-reports", market_audit_reports(20261021, (16, 20, 30), (0, 4), 2)),
