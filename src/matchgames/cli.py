@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 for malformed input or documents (including a
-``SolverError`` from the game kernel's guard), 3 for I/O failures. Subcommand
-output goes to stdout as JSON records; diagnostics go to stderr.
+``SolverError`` from the game kernel's guard), 3 for I/O failures and for
+running out of memory. Subcommand output goes to stdout as JSON records;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # a market too large for memory passes every size check
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -140,6 +140,7 @@ def _single_run(config: ExperimentConfig, run_index: int, output_dir: str) -> np
         noise_scale=config.noise_scale,
     )
     cumulative = np.cumsum([record.mi for record in records])
+    Path(output_dir).mkdir(parents=True, exist_ok=True)  # once a run is built, so a failed one leaves nothing
     with open(run_trace_path(output_dir, run_index), "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
@@ -169,7 +170,6 @@ def resolve_output_dir(configured: str | None) -> Path:
 def run_experiment(config: ExperimentConfig) -> RegretTrace:
     """Run all configured repetitions and write traces plus the aggregate."""
     output_dir = resolve_output_dir(config.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     # never more processes than CPUs: the pool forks all of them at once
     cpus = os.cpu_count() or 1
     workers = min(config.workers or cpus, cpus, config.runs)

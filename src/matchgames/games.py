@@ -101,10 +101,12 @@ def _float_maximin(rows: list) -> tuple[float, list]:
 # A stack of fewer games than this is solved game by game; from here up, in
 # one solve_lp call. Measured on random games on a 2-CPU Xeon VM (Python
 # 3.11.7, numpy 2.4.6), a stacked tableau costs 0.06 to 0.09 ms for one game
-# and 0.14 to 0.2 ms for 12 to 32, and a 2x2 stack on its pivot paths 0.06 to
-# 0.07 ms for 1 to 32 games. Game by game, a 2x2 game costs about 7 us and a
-# 3x3 game about 21 us, so a stack breaks even at about 9 games of either.
-# At 12, stacks of 9 to 11 solved game by game lose 0.015 ms (2x2) or 0.05 ms (3x3) at most.
+# and 0.14 to 0.2 ms for 12 to 32, and a 2x2 stack on its pivot paths 0.07 to
+# 0.12 ms for 1 to 32 games. Game by game, a 3x3 game costs about 21 to 29 us,
+# so a 3x3 stack breaks even at about 9 games, and a 2x2 game, on its closed
+# form, about 4 to 6 us, so a 2x2 stack breaks even at about 16 to 20 (noisy).
+# One count serves both shapes: at 12, 3x3 stacks of 9 to 11 solved game by
+# game lose 0.05 ms at most, and 2x2 stacks of 12 to 19 solved stacked 0.03 ms.
 _STACK_MIN_GAMES = 12
 
 

@@ -6,13 +6,14 @@ feasible basis and the optimum is bounded, so the solve needs no phase 1,
 no artificial or free variables and no status: it pivots by Bland's rule
 until no reduced cost is negative. solve_lp reaches four kernels that
 share that pivot rule and its arithmetic: a single B comes as nested lists
-of Python floats, and a 2x2 one pivots in closed form on those
-(_solve_2x2), any other shape on a list tableau of the nonbasic columns
-(_list_tableau); a (G, 2, 2) stack runs _solve_2x2's pivot paths on arrays
-(_stacked_2x2), and a (G, m, k) stack of any other shape _stacked, one full
-numpy tableau that drops finished games in batches. Each gives every game
-the same bits. games.maximin picks the form: one call per game it solves
-on its own, or one call for a whole stack.
+of Python floats, and a 2x2 one takes the closed form of its Bland pivot
+path, one of four, picked by `if` on those floats without a tableau
+(_solve_2x2), any other shape a list tableau of the nonbasic columns
+(_list_tableau); a (G, 2, 2) stack runs the same four paths on arrays, each
+picked by masks (_stacked_2x2), and a (G, m, k) stack of any other shape
+_stacked, one full numpy tableau that drops finished games in batches. Each
+gives every game the same bits. games.maximin picks the form: one call per
+game it solves on its own, or one call for a whole stack.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ def solve_lp(B):
 def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | None:
     """_list_tableau on B = [[a, b], [c, d]], or None where the guard refuses B.
 
-    Bland's rule enters w_1 at row `hi` = (p, q), the one with the larger
-    entry in column 1, then stops at a saddle point or goes on to the mixed
-    solution of von Neumann and Morgenstern. Repeating the tableau's
-    arithmetic keeps values equal in exact arithmetic (games' values at cells
-    sharing one confidence bound) in the order deferred acceptance reads.
+    Bland's rule enters w_1 on row hi = [p, q], the one with the larger
+    first entry, then stops at a saddle point or goes on to the mixed
+    solution of von Neumann and Morgenstern, along one of four pivot paths
+    (_stacked_2x2 lists them and names their terms). Each path's (w, u) are
+    the tableau's entries in its arithmetic and order, so values equal in
+    exact arithmetic (games' values at cells sharing one confidence bound)
+    stay equal in the order deferred acceptance reads. Each path computes
+    only its own terms: off its path a term may divide by zero.
     """
     # Unequal neighbours 1e-5 apart make the tableau's tolerance tests agree with exact
     # comparisons; but if b == d, rounding of order 1e-15 / |a - c| breaks its ratio tie.
@@ -56,18 +60,24 @@ def _solve_2x2(a: float, b: float, c: float, d: float) -> tuple[list, list] | No
             and min(abs(a - b) or 1.0, abs(c - d) or 1.0, abs(a - c) or 1.0, abs(b - d) or 1.0) >= 1e-5
             and (b != d or a == c or abs(a - c) >= 1e-2)):
         return None
-    hi, lo = (0, 1) if a >= c else (1, 0)
-    (p, q), (r, s) = ((a, b), (c, d)) if hi == 0 else ((c, d), (a, b))
-    tail = [] if q >= p else [(hi, 1)] if s <= q else [(lo, 1)] if s >= r else [(lo, 1), (hi, 2 + hi)]
-    T, basis = [[a, b, 1.0, 0.0, 1.0], [c, d, 0.0, 1.0, 1.0], [-1.0, -1.0, 0.0, 0.0, 0.0]], [2, 3]
-    for leave, enter in [(hi, 0), *tail]:
-        # five entries spelled out: at this size comprehensions cost more than the arithmetic
-        p0, p1, p2, p3, p4 = row = [x / T[leave][enter] for x in T[leave]]
-        for i, (t0, t1, t2, t3, t4) in enumerate(T):
-            g = T[i][enter]
-            T[i] = row if i == leave else [t0 - g * p0, t1 - g * p1, t2 - g * p2, t3 - g * p3, t4 - g * p4]
-        basis[leave] = enter
-    return [T[basis.index(j)][4] if j in basis else 0.0 for j in (0, 1)], T[2][2:4]
+    p, q, r, s = (a, b, c, d) if a >= c else (c, d, a, b)
+    inv, ratio = 1.0 / p, q / p
+    cost = ratio - 1.0
+    if q >= p:
+        w, u_hi, u_lo = [inv, 0.0], inv, 0.0
+    elif s <= q:
+        w_hi = inv / ratio
+        w, u_hi, u_lo = [0.0, w_hi], inv - cost * w_hi, 0.0
+    else:
+        gap = s - r * ratio
+        lo_hs, lo_ls, lo_rhs = (0.0 - r * inv) / gap, 1.0 / gap, (1.0 - r * inv) / gap
+        hi_rhs, u_hs, u_ls = inv - ratio * lo_rhs, inv - cost * lo_hs, 0.0 - cost * lo_ls
+        if s >= r:
+            w, u_hi, u_lo = [hi_rhs, lo_rhs], u_hs, u_ls
+        else:
+            hi_hs, hi_ls = inv - ratio * lo_hs, 0.0 - ratio * lo_ls
+            w, u_hi, u_lo = [0.0, lo_rhs - lo_hs * (hi_rhs / hi_hs)], 0.0, u_ls - u_hs * (hi_ls / hi_hs)
+    return w, [u_hi, u_lo] if a >= c else [u_lo, u_hi]
 
 
 def _list_tableau(B: list) -> tuple[list, list]:

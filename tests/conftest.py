@@ -74,6 +74,17 @@ def realized_payoffs(instance: MarketInstance, matching: Matching, strategies: d
     return payoffs
 
 
+def record_fields(record) -> tuple:
+    """Every StepRecord field, strategies by their bytes and scalars by repr."""
+    return (
+        record.t, record.matching.pairs,
+        tuple((agent, x.dtype.str, x.tobytes()) for agent, x in record.strategies.items()),
+        *(tuple((agent, repr(v)) for agent, v in table.items()) for table in (record.actions, record.rewards)),
+        *(repr(getattr(record, name)) for name in
+          ("mi", "event_ok", "width_bound", "ucb_value_slack", "ucb_pair_slack")),
+    )
+
+
 def all_matchings(p: int, a: int) -> list[Matching]:
     """Every injective partial assignment of lefts to rights."""
     out = []

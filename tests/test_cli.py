@@ -1,13 +1,17 @@
 """Command-line interface: exit codes, JSON output, config merging."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import build_example_market, build_example_profile
 
+import matchgames
+from matchgames import cli
 from matchgames.cli import entry, main
 from matchgames.experiments import ExperimentConfig
 from matchgames.formats import (
@@ -490,6 +494,40 @@ def test_market_too_large_for_numpy_is_input_error_and_writes_nothing(tmp_path, 
     flags = [arg for name, size in zip("pamk", sizes) for arg in (f"--{name}", str(size))]
     assert main([command[0], *flags, *command[1:], str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: p, a, m and k are too large")
+    assert not out.exists()
+
+
+# 32 GiB of payoffs: sizes numpy accepts, and an allocation only the child's address-space limit refuses
+@pytest.mark.parametrize(
+    "command", [["simulate", "--T", "1", "--runs", "1", "--workers", "1", "--output-dir"], ["gen-instance", "--output"]],
+    ids=["simulate", "gen-instance"],
+)
+def test_market_too_large_for_memory_exits_3_and_writes_nothing(tmp_path, command):
+    out = tmp_path / "results"
+    argv = [command[0], "--p", "65536", "--a", "65536", "--m", "1", "--k", "1", *command[1:], str(out)]
+    limit = 1 << 30
+    child = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from matchgames.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(matchgames.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: Unable to allocate 32.0 GiB") and result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_memory_error_without_a_message_exits_3_with_one_line(monkeypatch, tmp_path, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_instance", exhausted)
+    out = tmp_path / "instance.json"
+    assert main(["gen-instance", "--p", "1", "--a", "1", "--m", "1", "--k", "1", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
     assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import build_example_market, record_solve_lp_ranks
+from conftest import build_example_market, record_fields, record_solve_lp_ranks
 
 from matchgames import games, learning, market
 from matchgames.errors import DimensionError, InputError
@@ -290,17 +290,6 @@ def test_game_solves_per_episode(monkeypatch, policy):
     assert sum(solved) == expected
 
 
-def _fields(record) -> tuple:
-    """Every StepRecord field, strategies by their bytes and scalars by repr."""
-    return (
-        record.t, record.matching.pairs,
-        tuple((agent, x.dtype.str, x.tobytes()) for agent, x in record.strategies.items()),
-        *(tuple((agent, repr(v)) for agent, v in table.items()) for table in (record.actions, record.rewards)),
-        *(repr(getattr(record, name)) for name in
-          ("mi", "event_ok", "width_bound", "ucb_value_slack", "ucb_pair_slack")),
-    )
-
-
 @pytest.mark.parametrize("policy", list(Policy))
 @pytest.mark.parametrize("shape", [(6, 6, 2, 2), (5, 4, 2, 3)], ids=["square", "non-square"])
 def test_pairwise_and_stacked_refreshes_agree(monkeypatch, policy, shape):
@@ -311,7 +300,7 @@ def test_pairwise_and_stacked_refreshes_agree(monkeypatch, policy, shape):
         instance = generate_instance(*shape, generator=Generator.UNIFORM_SIGNED, seed=22)
         ranks = record_solve_lp_ranks(monkeypatch)
         monkeypatch.setattr(games, "_STACK_MIN_GAMES", crossover)
-        runs[rank] = [_fields(record) for record in run_episode(instance, policy, 40, seed=22)]
+        runs[rank] = [record_fields(record) for record in run_episode(instance, policy, 40, seed=22)]
         monkeypatch.undo()
         assert set(ranks) == {rank}
     assert runs[3] == runs[2]
@@ -362,7 +351,7 @@ def test_seed_table_matches_seed_sequence():
 @pytest.mark.parametrize("policy", list(Policy))
 def test_episode_streams_are_seed_sequence_streams(monkeypatch, policy, seed):
     instance = generate_instance(3, 4, 2, 3, generator=Generator.UNIFORM_SIGNED, seed=5)
-    ours = [_fields(record) for record in run_episode(instance, policy, 30, seed=seed)]
+    ours = [record_fields(record) for record in run_episode(instance, policy, 30, seed=seed)]
 
     def seed_sequences(seed, p, a):
         table = np.empty((3, p, a), dtype=object)
@@ -373,7 +362,7 @@ def test_episode_streams_are_seed_sequence_streams(monkeypatch, policy, seed):
     # the reference builds every stream as default_rng(SeedSequence(...)) did
     monkeypatch.setattr(learning, "_seed_table", seed_sequences)
     monkeypatch.setattr(learning, "_TableSeed", lambda sequence: sequence)
-    assert [_fields(record) for record in run_episode(instance, policy, 30, seed=seed)] == ours
+    assert [record_fields(record) for record in run_episode(instance, policy, 30, seed=seed)] == ours
 
 
 @pytest.mark.parametrize(

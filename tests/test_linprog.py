@@ -1,6 +1,8 @@
 """Packing-LP kernel tests against a brute-force vertex-enumeration oracle."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +237,48 @@ def test_closed_form_matches_tableau_on_ucb_matrices(monkeypatch):
 def test_near_ties_match_tableau(monkeypatch):
     # Both near-tie bands go to the tableau. Just outside them the closed form holds.
     assert assert_closed_form_matches_tableau(near_tie_matrices(), monkeypatch) >= 500
+
+
+def spaced_cells(rng) -> list:
+    """Four entries in [1.05, 2.95], each pair more than 0.05 apart."""
+    while True:
+        cells = rng.uniform(1.05, 2.95, size=4)
+        if np.abs(cells[:, None] - cells[None, :])[np.triu_indices(4, 1)].min() > 0.05:
+            return cells.tolist()
+
+
+def band_edge_lps() -> tuple[list, int]:
+    """2x2 packing LPs at the edges of the closed form's guard, and how many
+    of them lie inside a band, by exact rational arithmetic.
+
+    One pair of neighbours, (a, b), (c, d), (a, c) or (b, d), sits near 1e-5
+    apart, or b == d with a and c near 1e-2 apart; the other entries are more
+    than 0.05 from each other. Near means the float nearest x ± band and one
+    math.nextafter step either side of it, or x ± 2^-17, 2^-16, 2^-7 and 2^-6.
+    """
+    rng = np.random.default_rng(60)
+    lps, inside = [], 0
+    for band, pairs in ((1e-5, ((0, 1), (2, 3), (0, 2), (1, 3))), (1e-2, ((0, 2),))):
+        for (first, second), sign, _ in itertools.product(pairs, (-1.0, 1.0), range(6)):
+            cells = spaced_cells(rng)
+            x = cells[first]
+            edge = x + sign * band
+            for y in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
+                      *(x + sign * 2.0**-e for e in (17, 16, 7, 6))):
+                cells[second] = y
+                if band == 1e-2:
+                    cells[3] = cells[1]
+                inside += abs(Fraction(y) - Fraction(x)) < Fraction(band)
+                B = np.array(cells).reshape(2, 2)
+                lps += [B, B[::-1]]
+    return lps, 2 * inside
+
+
+def test_closed_form_matches_tableau_at_the_guards_band_edges(monkeypatch):
+    # exactly the LPs inside a band go to the tableau; at the edges outside them the closed form holds
+    lps, inside = band_edge_lps()
+    assert len(lps) == 840 and inside == 294
+    assert assert_closed_form_matches_tableau(lps, monkeypatch) == inside
 
 
 def numpy_maximin(A: np.ndarray) -> tuple[float, np.ndarray]:
