@@ -131,6 +131,9 @@ def _single_run(config: ExperimentConfig, run_index: int, output_dir: str) -> np
         outside_option=config.outside_option,
         seed=seed,
     )
+    # once the instance is built: a market too large for memory leaves no directory,
+    # and a bad path is reported before the episode is played
+    Path(output_dir).mkdir(parents=True, exist_ok=True)
     records = run_episode(
         instance,
         config.policy,
@@ -140,7 +143,6 @@ def _single_run(config: ExperimentConfig, run_index: int, output_dir: str) -> np
         noise_scale=config.noise_scale,
     )
     cumulative = np.cumsum([record.mi for record in records])
-    Path(output_dir).mkdir(parents=True, exist_ok=True)  # once a run is built, so a failed one leaves nothing
     with open(run_trace_path(output_dir, run_index), "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(TRACE_HEADER)

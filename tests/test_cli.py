@@ -11,7 +11,7 @@ import pytest
 from conftest import build_example_market, build_example_profile
 
 import matchgames
-from matchgames import cli
+from matchgames import cli, experiments
 from matchgames.cli import entry, main
 from matchgames.experiments import ExperimentConfig
 from matchgames.formats import (
@@ -503,21 +503,43 @@ def test_market_too_large_for_numpy_is_input_error_and_writes_nothing(tmp_path, 
     ids=["simulate", "gen-instance"],
 )
 def test_market_too_large_for_memory_exits_3_and_writes_nothing(tmp_path, command):
+    pytest.importorskip("resource")
     out = tmp_path / "results"
     argv = [command[0], "--p", "65536", "--a", "65536", "--m", "1", "--k", "1", *command[1:], str(out)]
-    limit = 1 << 30
+    limit, unenforced = 1 << 30, 77
+    # some kernels (macOS) accept RLIMIT_AS without enforcing it: before the market, the child maps
+    # 2 GiB it never touches, and exits with the code `unenforced` if it got them
     child = (
-        "import resource, sys\n"
+        "import mmap, resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
-        "from matchgames.cli import main\n"
-        f"sys.exit(main({argv!r}))\n"
+        "try:\n"
+        "    mmap.mmap(-1, 2 << 30).close()\n"
+        "except OSError:\n"
+        "    from matchgames.cli import main\n"
+        f"    sys.exit(main({argv!r}))\n"
+        f"sys.exit({unenforced})\n"
     )
     src = str(Path(matchgames.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    if result.returncode == unenforced:
+        pytest.skip("this kernel does not enforce RLIMIT_AS")
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr.startswith("error: Unable to allocate 32.0 GiB") and result.stderr.count("\n") == 1
     assert not out.exists()
+
+
+def test_simulate_reports_an_unusable_output_dir_before_playing(monkeypatch, tmp_path, capsys):
+    def unplayed(*args, **kwargs):
+        raise AssertionError("the episode ran before the output directory was made")
+
+    monkeypatch.setattr(experiments, "run_episode", unplayed)
+    out = tmp_path / "results"
+    out.write_text("a file, not a directory")
+    argv = ["simulate", "--p", "1", "--a", "1", "--m", "1", "--k", "1", "--T", "2",
+            "--runs", "1", "--workers", "1", "--output-dir", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
 
 def test_a_memory_error_without_a_message_exits_3_with_one_line(monkeypatch, tmp_path, capsys):

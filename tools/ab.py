@@ -1,6 +1,6 @@
 """Time the same matchgames operations on two source trees in one process.
 
-    python3 tools/ab.py BASE_SRC [HEAD_SRC] [--pairs N]
+    python3 tools/ab.py BASE_SRC [HEAD_SRC]
 
 BASE_SRC and HEAD_SRC are source directories holding the matchgames package,
 as tools/trace_digest.py takes its SRC; HEAD_SRC defaults to the checkout's
@@ -11,7 +11,7 @@ lru_cache of market._agents, an instance's cached game_values) live per
 tree: the two trees share only numpy and the interpreter.
 
 Each operation is built once per tree from the same inputs and called once
-on each tree untimed. Then every pair times one call on each tree, base
+on each tree untimed. Then each of 21 pairs times one call on each tree, base
 first in even pairs and head first in odd ones. For every operation the tool
 prints the median time on each tree, the median of the pairs' head/base
 ratios and in how many pairs head took less time. Run a tree against itself
@@ -86,6 +86,8 @@ def episode(p: int, a: int, T: int):
     return build
 
 
+PAIRS = 21  # timed pairs an operation
+
 OPERATIONS = {
     "solve-2x2": solves(2),
     "solve-3x3": solves(3),
@@ -107,10 +109,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src")
     parser.add_argument("head_src", nargs="?", default=str(Path(__file__).resolve().parents[1] / "src"))
-    parser.add_argument("--pairs", type=int, default=21, help="timed pairs per operation (default 21)")
     args = parser.parse_args()
     trees = [load_tree(args.base_src, "mg_base"), load_tree(args.head_src, "mg_head")]
-    print(f"base {args.base_src}, head {args.head_src}: {args.pairs} pairs an operation; "
+    print(f"base {args.base_src}, head {args.head_src}: {PAIRS} pairs an operation; "
           f"Python {platform.python_version()}, numpy {np.__version__}, {os.cpu_count()} CPUs")
     print(f"{'operation':<18} {'base ms':>9} {'head ms':>9} {'head/base':>9} {'lower':>7}")
     for name, build in OPERATIONS.items():
@@ -118,13 +119,13 @@ def main() -> int:
         for call in calls:
             call()
         times = ([], [])
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for side in (0, 1) if pair % 2 == 0 else (1, 0):
                 times[side].append(timed(calls[side]))
         ratios = [head / base for base, head in zip(*times)]
         lower = sum(head < base for base, head in zip(*times))
         print(f"{name:<18} {statistics.median(times[0]) * 1e3:9.3f} {statistics.median(times[1]) * 1e3:9.3f} "
-              f"{statistics.median(ratios):9.3f} {lower:>3}/{args.pairs}")
+              f"{statistics.median(ratios):9.3f} {lower:>3}/{PAIRS}")
     return 0
 
 
